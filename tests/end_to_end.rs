@@ -89,3 +89,47 @@ fn both_flows_share_the_layout_result_interface() {
         assert!(r.placement.check_invariants(&arch, &netlist));
     }
 }
+
+/// One run's layout fingerprint: the final occupancy digest, the exact bits
+/// of the reported worst delay, the temperature count and the total moves.
+type Fingerprint = (u64, u64, usize, usize);
+
+fn fingerprint(netlist: &rowfpga::netlist::Netlist, seed: u64, threads: usize) -> Fingerprint {
+    let arch = size_architecture(netlist, &SizingConfig::default()).unwrap();
+    let cfg = SimPrConfig {
+        threads,
+        ..SimPrConfig::fast().with_seed(seed)
+    };
+    let r = SimultaneousPlaceRoute::new(cfg)
+        .run_parallel(&arch, netlist, "fingerprint", &rowfpga_obs::Obs::disabled())
+        .unwrap();
+    (
+        r.routing.occupancy_digest(),
+        r.worst_delay.to_bits(),
+        r.temperatures,
+        r.total_moves,
+    )
+}
+
+#[test]
+fn layouts_are_bit_identical_to_the_recorded_fingerprints() {
+    // Recorded constants: any change to the incremental router, the timing
+    // kernel or the annealer that alters a layout by one bit fails here.
+    // Speed-ups of the move cascade must keep every layout identical.
+    use rowfpga::netlist::{paper_preset, PaperBenchmark};
+    let s1 = generate(&paper_preset(PaperBenchmark::S1));
+    let small = generate(&small_design());
+    let got = [
+        fingerprint(&s1, 1, 1),
+        fingerprint(&s1, 1, 2),
+        fingerprint(&small, 4, 1),
+        fingerprint(&small, 4, 2),
+    ];
+    let expected: [Fingerprint; 4] = [
+        (11647783339538944664, 4685907057586177311, 40, 41010),
+        (7793755697365387216, 4686072666027552932, 40, 82020),
+        (11411402504555534924, 4678846112797294592, 33, 11435),
+        (17429921106684468387, 4679212087991378903, 27, 18730),
+    ];
+    assert_eq!(got, expected);
+}

@@ -123,7 +123,7 @@ impl<'a> PlacerProblem<'a> {
         let mut nets: Vec<NetId> = mv
             .affected_cells(&self.placement)
             .into_iter()
-            .flat_map(|c| self.netlist.nets_of_cell(c))
+            .flat_map(|c| self.netlist.nets_of_cell(c).iter().copied())
             .collect();
         nets.sort_unstable();
         nets.dedup();

@@ -83,9 +83,8 @@ impl Levels {
             // Level: one more than the max level over all drivers of this
             // cell's inputs (boundary drivers sit at level 0).
             let mut lvl = 0u32;
-            let nets = netlist.nets_of_cell(cell);
-            for nid in &nets {
-                let net = netlist.net(*nid);
+            for &nid in netlist.nets_of_cell(cell) {
+                let net = netlist.net(nid);
                 if net.driver().cell != cell {
                     lvl = lvl.max(levels[net.driver().cell.index()]);
                 }

@@ -277,10 +277,26 @@ impl NetlistBuilder {
                 }
             }
         }
+        // Per-cell distinct nets in ascending id order, flattened once so
+        // `nets_of_cell` is a slice view rather than a sort per call.
+        let mut cell_nets_start = Vec::with_capacity(self.cells.len() + 1);
+        let mut cell_nets = Vec::new();
+        let mut nets = Vec::new();
+        for pins in &self.pin_nets {
+            cell_nets_start.push(cell_nets.len() as u32);
+            nets.clear();
+            nets.extend(pins.iter().flatten().copied());
+            nets.sort_unstable();
+            nets.dedup();
+            cell_nets.extend_from_slice(&nets);
+        }
+        cell_nets_start.push(cell_nets.len() as u32);
         Ok(Netlist {
             cells: self.cells,
             nets: self.nets,
             pin_nets: self.pin_nets,
+            cell_nets_start,
+            cell_nets,
             cell_names: self.cell_names,
             net_names: self.net_names,
         })
@@ -294,6 +310,10 @@ pub struct Netlist {
     cells: Vec<Cell>,
     nets: Vec<Net>,
     pin_nets: Vec<Vec<Option<NetId>>>,
+    /// CSR offsets into `cell_nets`, one slice per cell.
+    cell_nets_start: Vec<u32>,
+    /// Each cell's distinct nets, ascending.
+    cell_nets: Vec<NetId>,
     cell_names: BTreeMap<String, CellId>,
     net_names: BTreeMap<String, NetId>,
 }
@@ -374,15 +394,9 @@ impl Netlist {
     }
 
     /// The distinct nets touching any pin of `cell`, in ascending id order.
-    pub fn nets_of_cell(&self, cell: CellId) -> Vec<NetId> {
-        let mut nets: Vec<NetId> = self.pin_nets[cell.index()]
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        nets.sort_unstable();
-        nets.dedup();
-        nets
+    pub fn nets_of_cell(&self, cell: CellId) -> &[NetId] {
+        let i = cell.index();
+        &self.cell_nets[self.cell_nets_start[i] as usize..self.cell_nets_start[i + 1] as usize]
     }
 
     /// Summary statistics of the design.
@@ -478,6 +492,20 @@ mod tests {
         assert!(nets.windows(2).all(|w| w[0] < w[1]));
         let ff = nl.cell_by_name("ff").unwrap();
         assert_eq!(nl.nets_of_cell(ff).len(), 2);
+    }
+
+    #[test]
+    fn nets_of_cell_lists_each_net_once_even_on_two_pins() {
+        let mut b = Netlist::builder();
+        let a = b.add_cell("a", CellKind::Input);
+        let g = b.add_cell("g", CellKind::comb(2));
+        let q = b.add_cell("q", CellKind::Output);
+        let na = b.connect("na", a, [(g, 1), (g, 2)]).unwrap();
+        let ng = b.connect("ng", g, [(q, 0)]).unwrap();
+        let nl = b.build().unwrap();
+        assert_eq!(nl.nets_of_cell(g), &[na, ng]);
+        assert_eq!(nl.nets_of_cell(a), &[na]);
+        assert_eq!(nl.nets_of_cell(q), &[ng]);
     }
 
     #[test]

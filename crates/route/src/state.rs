@@ -9,6 +9,8 @@
 //! vectors are recycled through small pools so steady-state operation does
 //! not allocate.
 
+use std::cmp::Reverse;
+
 use rowfpga_arch::{Architecture, ChannelId, ColId, HSegId, VSegId};
 use rowfpga_netlist::{CellId, NetId, Netlist};
 
@@ -55,6 +57,49 @@ pub(crate) struct PassScratch {
     pub gqueue: Vec<(NetId, NetRequirements)>,
 }
 
+/// One feedthrough candidate: a vertical segment and the channel its top
+/// reaches.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    hi: u32,
+    seg: u32,
+}
+
+/// Immutable per-(column, channel) candidate lists in CSR form. Each list
+/// is sorted by reach descending, ties in the column's scan order, so the
+/// first *free* entry is exactly the segment the greedy chain scan would
+/// pick: first-in-order among the free segments of maximum reach.
+#[derive(Clone, Debug)]
+struct CandidateLists {
+    /// Offsets into `entries`, one list per `col × num_channels + row`.
+    start: Vec<u32>,
+    entries: Vec<Candidate>,
+}
+
+impl CandidateLists {
+    /// Groups `(row, candidate)` pairs, given in scan order, into sorted
+    /// per-row lists.
+    fn from_pairs(rows: usize, mut pairs: Vec<(u32, Candidate)>) -> CandidateLists {
+        // Stable: equal-reach candidates keep the column's scan order.
+        pairs.sort_by_key(|&(row, c)| (row, Reverse(c.hi)));
+        let mut start = vec![0u32; rows + 1];
+        for &(row, _) in &pairs {
+            start[row as usize + 1] += 1;
+        }
+        for i in 0..rows {
+            start[i + 1] += start[i];
+        }
+        CandidateLists {
+            start,
+            entries: pairs.into_iter().map(|(_, c)| c).collect(),
+        }
+    }
+
+    fn candidates(&self, row: usize) -> &[Candidate] {
+        &self.entries[self.start[row] as usize..self.start[row + 1] as usize]
+    }
+}
+
 /// Monotonic change counters for skipping doomed routing retries.
 ///
 /// A failed routing attempt has no side effects, and its outcome is a
@@ -90,24 +135,12 @@ struct RetryStamps {
     /// the vertical segments intersecting the net's channel range, so
     /// these localize invalidation to that range.
     vchan_mod: Vec<u64>,
-    /// Per-(column, channel) greedy-step table for the *first* chain
-    /// segment: the free segment the greedy scan would pick to tap channel
-    /// `c` (`lo <= c <= hi`, first-in-order max-`hi`), as `(hi, seg)` with
-    /// `seg == u32::MAX` for "none". Flat `col × num_channels` grid. Kept
-    /// exactly consistent with ownership, it turns each greedy step of the
-    /// chain search into one table lookup.
-    best_cov: Vec<(u16, u32)>,
-    /// Per-(column, reach) greedy-step table for *later* chain segments:
-    /// the free segment extending reach `r` (`lo <= r < hi`, first-in-order
-    /// max-`hi`), same encoding as `best_cov`.
-    best_ext: Vec<(u16, u32)>,
-    /// CSR offsets into `vcol_segs`, one slice per column.
-    vcol_start: Vec<u32>,
-    /// Vertical segment ids per column, in the architecture's scan order —
-    /// the order the greedy scan visits and breaks ties by.
-    vcol_segs: Vec<u32>,
-    /// Per-vseg position within its column's scan order, for tie breaks.
-    vord: Vec<u32>,
+    /// Candidates for the *first* chain segment at `(col, c)`: the
+    /// segments tappable at channel `c` (`lo <= c <= hi`).
+    cover: CandidateLists,
+    /// Candidates for *later* chain segments at `(col, r)`: the segments
+    /// extending reach `r` (`lo <= r < hi`).
+    extend: CandidateLists,
     /// Per-net `vtick` captured *before* the net's last failed global
     /// attempt; 0 = attempt normally. Cleared whenever the net's route
     /// changes (its requirements may differ after the move that ripped it).
@@ -115,11 +148,10 @@ struct RetryStamps {
     /// The `(chan_min, chan_max)` requirement range at the net's last
     /// failed global attempt, valid while its `global_fail` stamp is.
     global_fail_range: Vec<(u32, u32)>,
-    /// Per-vseg `(col, chan_lo, chan_hi)`, for maintaining `vchan_mod` and
-    /// the greedy-step tables from ownership edits without consulting
-    /// the architecture.
-    vseg_span: Vec<(u32, u32, u32)>,
-    /// Channel count, for indexing the greedy-step tables.
+    /// Per-vseg `(chan_lo, chan_hi)`, for stamping `vchan_mod` from
+    /// releases without consulting the architecture.
+    vseg_chans: Vec<(u32, u32)>,
+    /// Channel count, for indexing the candidate lists.
     num_channels: u32,
     /// Logical clock of horizontal-segment *releases*, bumped once per
     /// release batch. Claims deliberately do not advance it: a failed
@@ -148,49 +180,25 @@ impl RetryStamps {
     fn new(arch: &Architecture, num_nets: usize) -> RetryStamps {
         let num_channels = arch.geometry().num_channels();
         let num_cols = arch.geometry().num_cols();
-        let vseg_span: Vec<(u32, u32, u32)> = (0..arch.num_vsegs())
-            .map(|i| {
-                let s = arch.vseg(VSegId::new(i));
-                (
-                    s.col().index() as u32,
-                    s.chan_lo().index() as u32,
-                    s.chan_hi().index() as u32,
-                )
-            })
-            .collect();
-        let mut vcol_start = vec![0u32; num_cols + 1];
-        let mut vcol_segs = Vec::with_capacity(arch.num_vsegs());
-        let mut vord = vec![0u32; arch.num_vsegs()];
+        // One pass over the vertical segments, column by column in scan
+        // order, emits every candidate-list entry.
+        let mut vseg_chans = vec![(0, 0); arch.num_vsegs()];
+        let mut cover = Vec::new();
+        let mut extend = Vec::new();
         for col in 0..num_cols {
-            for (k, s) in arch.vsegs_at(ColId::new(col)).iter().enumerate() {
-                vord[s.id().index()] = k as u32;
-                vcol_segs.push(s.id().index() as u32);
-            }
-            vcol_start[col + 1] = vcol_segs.len() as u32;
-        }
-        // All segments start free; applying the first-in-order max-`hi`
-        // rule in scan order reproduces the greedy scan's pick exactly.
-        let mut best_cov = vec![(0u16, u32::MAX); num_cols * num_channels];
-        let mut best_ext = vec![(0u16, u32::MAX); num_cols * num_channels];
-        for col in 0..num_cols {
-            let base = col * num_channels;
-            let (s, e) = (vcol_start[col] as usize, vcol_start[col + 1] as usize);
-            for &v in &vcol_segs[s..e] {
-                let (_, lo, hi) = vseg_span[v as usize];
-                for c in lo..=hi {
-                    let cur = &mut best_cov[base + c as usize];
-                    if cur.1 == u32::MAX || hi as u16 > cur.0 {
-                        *cur = (hi as u16, v);
-                    }
-                }
-                for r in lo..hi {
-                    let cur = &mut best_ext[base + r as usize];
-                    if cur.1 == u32::MAX || hi as u16 > cur.0 {
-                        *cur = (hi as u16, v);
-                    }
-                }
+            for s in arch.vsegs_at(ColId::new(col)) {
+                let (lo, hi) = (s.chan_lo().index() as u32, s.chan_hi().index() as u32);
+                vseg_chans[s.id().index()] = (lo, hi);
+                let c = Candidate {
+                    hi,
+                    seg: s.id().index() as u32,
+                };
+                let base = (col * num_channels) as u32;
+                cover.extend((lo..=hi).map(|r| (base + r, c)));
+                extend.extend((lo..hi).map(|r| (base + r, c)));
             }
         }
+        let rows = num_cols * num_channels;
         let mut hseg_span = vec![(0, 0, 0); arch.num_hsegs()];
         for c in 0..num_channels {
             for track in arch.channel_tracks(ChannelId::new(c)) {
@@ -205,14 +213,11 @@ impl RetryStamps {
             chan_attempt: vec![(0, 0); num_channels],
             vtick: 1,
             vchan_mod: vec![1; num_channels],
-            best_cov,
-            best_ext,
-            vcol_start,
-            vcol_segs,
-            vord,
+            cover: CandidateLists::from_pairs(rows, cover),
+            extend: CandidateLists::from_pairs(rows, extend),
             global_fail: vec![0; num_nets],
             global_fail_range: vec![(0, 0); num_nets],
-            vseg_span,
+            vseg_chans,
             num_channels: num_channels as u32,
             htick: 1,
             hcol_mod: vec![1; num_channels * num_cols],
@@ -223,86 +228,12 @@ impl RetryStamps {
         }
     }
 
-    /// Records the release of `vseg`: stamps its covered channels with a
-    /// fresh tick and offers it back to the greedy-step tables (it becomes
-    /// the pick of any row it beats under the first-in-order max-`hi`
-    /// rule).
+    /// Records the release of `vseg`: stamps its covered channels with the
+    /// current tick.
     fn free_vseg(&mut self, vseg: usize) {
-        let (col, lo, hi) = self.vseg_span[vseg];
-        let base = col as usize * self.num_channels as usize;
-        let ord = self.vord[vseg];
-        for c in lo..=hi {
-            self.vchan_mod[c as usize] = self.vtick;
-            self.offer(true, base + c as usize, hi as u16, vseg as u32, ord);
-        }
-        for r in lo..hi {
-            self.offer(false, base + r as usize, hi as u16, vseg as u32, ord);
-        }
-    }
-
-    /// Offers a newly freed segment to one greedy-step table row,
-    /// installing it iff the greedy scan would now pick it: strictly
-    /// larger `hi`, or equal `hi` and earlier in scan order.
-    fn offer(&mut self, cov: bool, idx: usize, hi: u16, v: u32, ord: u32) {
-        let cur = if cov {
-            self.best_cov[idx]
-        } else {
-            self.best_ext[idx]
-        };
-        if cur.1 == u32::MAX || hi > cur.0 || (hi == cur.0 && ord < self.vord[cur.1 as usize]) {
-            if cov {
-                self.best_cov[idx] = (hi, v);
-            } else {
-                self.best_ext[idx] = (hi, v);
-            }
-        }
-    }
-
-    /// Records the claim of `vseg`: every greedy-step table row whose pick
-    /// it was is rescanned from the column's segment list (claims never
-    /// invalidate failure stamps — they only shrink feasibility).
-    fn claim_vseg(&mut self, vseg: usize, owners: &[Option<NetId>]) {
-        let (col, lo, hi) = self.vseg_span[vseg];
-        let base = col as usize * self.num_channels as usize;
-        for c in lo..=hi {
-            if self.best_cov[base + c as usize].1 == vseg as u32 {
-                self.rescan(true, col as usize, c as usize, owners);
-            }
-        }
-        for r in lo..hi {
-            if self.best_ext[base + r as usize].1 == vseg as u32 {
-                self.rescan(false, col as usize, r as usize, owners);
-            }
-        }
-    }
-
-    /// Recomputes one greedy-step table row by replaying the greedy scan
-    /// over the column's free segments.
-    fn rescan(&mut self, cov: bool, col: usize, row: usize, owners: &[Option<NetId>]) {
-        let mut best = (0u16, u32::MAX);
-        let (s, e) = (
-            self.vcol_start[col] as usize,
-            self.vcol_start[col + 1] as usize,
-        );
-        for &v in &self.vcol_segs[s..e] {
-            if owners[v as usize].is_some() {
-                continue;
-            }
-            let (_, lo, hi) = self.vseg_span[v as usize];
-            let eligible = if cov {
-                lo as usize <= row && hi as usize >= row
-            } else {
-                lo as usize <= row && hi as usize > row
-            };
-            if eligible && (best.1 == u32::MAX || hi as u16 > best.0) {
-                best = (hi as u16, v);
-            }
-        }
-        let idx = col * self.num_channels as usize + row;
-        if cov {
-            self.best_cov[idx] = best;
-        } else {
-            self.best_ext[idx] = best;
+        let (lo, hi) = self.vseg_chans[vseg];
+        for m in &mut self.vchan_mod[lo as usize..=hi as usize] {
+            *m = self.vtick;
         }
     }
 
@@ -528,7 +459,7 @@ impl RoutingState {
 
     /// Rips up every net connected to `cell`.
     pub fn rip_up_cell(&mut self, netlist: &Netlist, cell: CellId) {
-        for net in netlist.nets_of_cell(cell) {
+        for &net in netlist.nets_of_cell(cell) {
             self.rip_up(net);
         }
     }
@@ -720,7 +651,6 @@ impl RoutingState {
                 "vertical segment {v:?} already owned"
             );
             self.vseg_owner[v.index()] = Some(net);
-            self.retry.claim_vseg(v.index(), &self.vseg_owner);
         }
         for (_, segs) in &route.hsegs {
             for h in segs {
@@ -835,17 +765,28 @@ impl RoutingState {
 
     /// The free vertical segment the greedy chain search would pick as its
     /// *first* segment at `col` to tap channel `chan`, with the channel it
-    /// reaches — one table lookup in place of the scan.
+    /// reaches: the first free entry of the candidate list.
     pub(crate) fn best_cover(&self, col: usize, chan: usize) -> Option<(usize, VSegId)> {
-        let (hi, v) = self.retry.best_cov[col * self.retry.num_channels as usize + chan];
-        (v != u32::MAX).then(|| (hi as usize, VSegId::new(v as usize)))
+        self.first_free(&self.retry.cover, col, chan)
     }
 
     /// The free vertical segment the greedy chain search would pick to
     /// extend reach `r` at `col`, with the channel it reaches.
     pub(crate) fn best_extend(&self, col: usize, r: usize) -> Option<(usize, VSegId)> {
-        let (hi, v) = self.retry.best_ext[col * self.retry.num_channels as usize + r];
-        (v != u32::MAX).then(|| (hi as usize, VSegId::new(v as usize)))
+        self.first_free(&self.retry.extend, col, r)
+    }
+
+    fn first_free(
+        &self,
+        lists: &CandidateLists,
+        col: usize,
+        row: usize,
+    ) -> Option<(usize, VSegId)> {
+        lists
+            .candidates(col * self.retry.num_channels as usize + row)
+            .iter()
+            .find(|c| self.vseg_owner[c.seg as usize].is_none())
+            .map(|c| (c.hi as usize, VSegId::new(c.seg as usize)))
     }
 
     /// Whether the (net, channel) detail attempt over columns `lo..=hi` is
@@ -1099,7 +1040,7 @@ mod tests {
         let shell = global_shell(&mut st, Vec::new(), None, vec![(chan, 0, 1)], vec![chan]);
         st.set_global(nets[0], shell);
         st.rip_up_cell(&nl, cell);
-        for n in nets {
+        for &n in nets {
             assert_eq!(st.net_state(n), NetRouteState::Unrouted);
             assert!(st.ug().any(|x| x == n));
         }
@@ -1277,7 +1218,6 @@ impl RoutingState {
                     });
                 }
                 st.vseg_owner[v] = Some(net);
-                st.retry.claim_vseg(v, &st.vseg_owner);
             }
             for (_, segs) in &snap.hsegs {
                 for &h in segs {
@@ -1514,5 +1454,120 @@ mod snapshot_tests {
             RoutingState::restore(&arch, &nl, &bad),
             Err(RouteRestoreError::UnroutedHoldsResources { .. })
         ));
+    }
+}
+
+#[cfg(test)]
+mod candidate_tests {
+    use super::*;
+    use crate::config::RouterConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rowfpga_arch::VerticalScheme;
+    use rowfpga_netlist::{generate, GenerateConfig};
+    use rowfpga_place::Placement;
+
+    /// The greedy scan the candidate lists replace: over the column's free
+    /// segments in architecture order, the first of maximum reach among
+    /// those tapping `row` (`cover`) or extending reach `row` (`!cover`).
+    fn scan_pick(
+        arch: &Architecture,
+        st: &RoutingState,
+        col: usize,
+        row: usize,
+        cover: bool,
+    ) -> Option<(usize, VSegId)> {
+        let mut best: Option<(usize, VSegId)> = None;
+        for s in arch.vsegs_at(ColId::new(col)) {
+            if st.vseg_owner(s.id()).is_some() {
+                continue;
+            }
+            let (lo, hi) = (s.chan_lo().index(), s.chan_hi().index());
+            let eligible = lo <= row && if cover { row <= hi } else { row < hi };
+            if eligible && best.is_none_or(|(b, _)| hi > b) {
+                best = Some((hi, s.id()));
+            }
+        }
+        best
+    }
+
+    fn assert_picks_match_scan(arch: &Architecture, st: &RoutingState, step: usize) {
+        for col in 0..arch.geometry().num_cols() {
+            for row in 0..arch.geometry().num_channels() {
+                assert_eq!(
+                    st.best_cover(col, row),
+                    scan_pick(arch, st, col, row, true),
+                    "cover pick at col {col} row {row}, step {step}"
+                );
+                assert_eq!(
+                    st.best_extend(col, row),
+                    scan_pick(arch, st, col, row, false),
+                    "extend pick at col {col} row {row}, step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn first_free_candidate_matches_a_column_scan_under_random_edits() {
+        let nl = generate(&GenerateConfig {
+            num_cells: 60,
+            num_inputs: 6,
+            num_outputs: 6,
+            num_seq: 4,
+            ..GenerateConfig::default()
+        });
+        // Mixed vertical spans give every list several reaches and ties.
+        let arch = Architecture::builder()
+            .rows(6)
+            .cols(14)
+            .io_columns(2)
+            .tracks_per_channel(10)
+            .verticals(VerticalScheme::Uniform {
+                tracks_per_column: 4,
+                span: 3,
+            })
+            .build()
+            .unwrap();
+        let cfg = RouterConfig::default();
+        let logic: Vec<rowfpga_netlist::CellId> = nl
+            .cells()
+            .filter(|(_, c)| !c.kind().is_io())
+            .map(|(id, _)| id)
+            .collect();
+        for seed in [1u64, 7, 23] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut p = Placement::random(&arch, &nl, seed).unwrap();
+            let mut st = RoutingState::new(&arch, &nl);
+            assert_picks_match_scan(&arch, &st, 0);
+            crate::batch::route_batch(&mut st, &arch, &nl, &p, &cfg, 4);
+            assert_picks_match_scan(&arch, &st, 0);
+            for step in 1..=40 {
+                let txn = rng.gen_bool(0.7);
+                if txn {
+                    st.begin_txn();
+                }
+                let a = logic[rng.gen_range(0..logic.len())];
+                let b = logic[rng.gen_range(0..logic.len())];
+                p.swap_sites(&arch, p.site_of(a), p.site_of(b));
+                st.rip_up_cell(&nl, a);
+                st.rip_up_cell(&nl, b);
+                assert_picks_match_scan(&arch, &st, step);
+                st.route_incremental(&arch, &nl, &p, &cfg);
+                assert_picks_match_scan(&arch, &st, step);
+                if txn {
+                    if rng.gen_bool(0.5) {
+                        st.commit();
+                    } else {
+                        st.rollback();
+                        p.swap_sites(&arch, p.site_of(a), p.site_of(b));
+                    }
+                    assert_picks_match_scan(&arch, &st, step);
+                }
+            }
+            let restored = RoutingState::restore(&arch, &nl, &st.export_routes()).unwrap();
+            assert_eq!(restored.occupancy_digest(), st.occupancy_digest());
+            assert_picks_match_scan(&arch, &restored, usize::MAX);
+        }
     }
 }

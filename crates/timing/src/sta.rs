@@ -321,7 +321,7 @@ mod tests {
         let levels = Levels::compute(&nl).unwrap();
         // every comb cell arrives strictly after its input drivers
         for &cell in levels.order() {
-            for net in nl.nets_of_cell(cell) {
+            for &net in nl.nets_of_cell(cell) {
                 let n = nl.net(net);
                 if n.driver().cell == cell {
                     continue;

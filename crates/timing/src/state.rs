@@ -4,14 +4,19 @@
 //! Cells are levelized once (levels depend only on connectivity). After a
 //! move reroutes a set of nets, their interconnect delays are recomputed
 //! and the change is propagated to the path boundaries through a *frontier*
-//! of affected cells, always processing the frontier cell with the minimum
-//! level: a cell's output arrival is refreshed from its inputs, and only if
-//! it changed are its fanout cells added. Expansion stops when the frontier
-//! empties. All mutations are journaled so a rejected move can be undone
-//! exactly.
+//! of affected cells, processed level by level from per-level buckets: a
+//! cell's output arrival is refreshed from its inputs, and only if it
+//! changed are its fanout cells queued. Combinational levels are strict
+//! (every fanout sits at a higher level than its driver), so a cell is
+//! refreshed only after all its drivers and the order within a level
+//! cannot change any value. Expansion stops when the buckets empty.
+//!
+//! Net delays live in one flat arena with per-net offsets, read through
+//! precomputed fanin and fanout CSR tables. All mutations are journaled
+//! (old delay values are copied into one flat buffer) so a rejected move
+//! can be undone exactly.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use rowfpga_arch::Architecture;
 use rowfpga_netlist::{CellId, CellKind, CombLoopError, Levels, NetId, Netlist, PinRef};
@@ -33,24 +38,31 @@ const SINK_ENDPOINT: u8 = 1;
 /// A boundary that terminates propagation without being an endpoint.
 const SINK_BOUNDARY: u8 = 2;
 
-/// One input connection of a cell: the driving cell, the net, and this
-/// pin's index in the net's sink list — everything `worst_input_arrival`
-/// re-derived per call, resolved once.
+/// One input connection of a cell: the driving cell and the arena index
+/// of this pin's net delay — everything `worst_input_arrival` re-derived
+/// per call, resolved once.
 #[derive(Clone, Copy, Debug)]
 struct FaninEdge {
     driver: u32,
-    net: u32,
-    sink: u32,
+    slot: u32,
 }
 
 /// Lookup tables derived from connectivity and fabric delay parameters,
-/// both immutable for the lifetime of the state: per-cell fanin edges in
-/// CSR form, intrinsic delays, levels and sink classification. These turn
-/// the frontier's inner loop into flat array reads.
+/// both immutable for the lifetime of the state: per-cell fanin edges and
+/// fanout cells in CSR form, per-net offsets into the delay arena,
+/// intrinsic delays, levels and sink classification. These turn the
+/// frontier's inner loop into flat array reads.
 #[derive(Clone, Debug)]
 struct CellTables {
     fanin_start: Vec<u32>,
     fanin_edges: Vec<FaninEdge>,
+    /// CSR offsets into `fanout`, one slice per cell.
+    fanout_start: Vec<u32>,
+    /// The sink cell of every pin the cell's output drives, in sink order.
+    fanout: Vec<u32>,
+    /// Net `n`'s sink delays occupy `net_start[n]..net_start[n + 1]` of
+    /// the delay arena, in sink order.
+    net_start: Vec<u32>,
     intrinsic: Vec<f64>,
     endpoint_intrinsic: Vec<f64>,
     level: Vec<u32>,
@@ -61,9 +73,19 @@ impl CellTables {
     // rowfpga-lint: begin-allow(hot-path) reason=one-time table construction before annealing starts
     fn build(arch: &Architecture, netlist: &Netlist, levels: &Levels) -> CellTables {
         let n = netlist.num_cells();
+        let mut net_start = Vec::with_capacity(netlist.num_nets() + 1);
+        let mut total = 0u32;
+        for (_, net) in netlist.nets() {
+            net_start.push(total);
+            total += net.fanout() as u32;
+        }
+        net_start.push(total);
         let mut t = CellTables {
             fanin_start: Vec::with_capacity(n + 1),
             fanin_edges: Vec::new(),
+            fanout_start: Vec::with_capacity(n + 1),
+            fanout: Vec::with_capacity(total as usize),
+            net_start,
             intrinsic: Vec::with_capacity(n),
             endpoint_intrinsic: Vec::with_capacity(n),
             level: Vec::with_capacity(n),
@@ -88,9 +110,18 @@ impl CellTables {
                     .expect("pin is a sink of its net");
                 t.fanin_edges.push(FaninEdge {
                     driver: nref.driver().cell.index() as u32,
-                    net: net.index() as u32,
-                    sink: sink_idx as u32,
+                    slot: t.net_start[net.index()] + sink_idx as u32,
                 });
+            }
+            t.fanout_start.push(t.fanout.len() as u32);
+            if let Some(net) = netlist.driven_net(id) {
+                t.fanout.extend(
+                    netlist
+                        .net(net)
+                        .sinks()
+                        .iter()
+                        .map(|s| s.cell.index() as u32),
+                );
             }
             t.intrinsic.push(cell_intrinsic_delay(arch, kind));
             t.endpoint_intrinsic
@@ -107,9 +138,20 @@ impl CellTables {
             });
         }
         t.fanin_start.push(t.fanin_edges.len() as u32);
+        t.fanout_start.push(t.fanout.len() as u32);
         t
     }
     // rowfpga-lint: end-allow(hot-path)
+
+    /// The arena range holding `net`'s sink delays.
+    fn net_range(&self, net: NetId) -> Range<usize> {
+        csr_range(&self.net_start, net.index())
+    }
+}
+
+/// Entry `i`'s slice range in a CSR offset array.
+fn csr_range(start: &[u32], i: usize) -> Range<usize> {
+    start[i] as usize..start[i + 1] as usize
 }
 
 /// Generation-stamped undo log: the first mutation of each quantity inside
@@ -123,25 +165,25 @@ struct UndoLog {
     arr_stamp: Vec<u64>,
     endpoint_stamp: Vec<u64>,
     net_stamp: Vec<u64>,
-    saved_arr: Vec<(CellId, f64)>,
-    saved_endpoint: Vec<(CellId, f64)>,
-    saved_nets: Vec<(NetId, Vec<f64>)>,
+    saved_arr: Vec<(u32, f64)>,
+    saved_endpoint: Vec<(u32, f64)>,
+    /// Nets whose delays were journaled, in first-touch order; their prior
+    /// values are concatenated in `saved_delays` in the same order.
+    saved_nets: Vec<NetId>,
+    saved_delays: Vec<f64>,
     worst: Option<f64>,
 }
 
-const DELAY_POOL_CAP: usize = 256;
-
-/// Reusable buffers for [`TimingState::update_nets`]: the level-ordered
-/// frontier heap (always drained, so its allocation persists), epoch-stamped
-/// queued/dirty marks (no per-call clearing), a pool of retired sink-delay
-/// vectors and the Elmore evaluation scratch.
+/// Reusable buffers for [`TimingState::update_nets`]: one frontier bucket
+/// per level (always drained, so their allocations persist), epoch-stamped
+/// queued/dirty marks (no per-call clearing) and the Elmore evaluation
+/// scratch.
 #[derive(Clone, Debug, Default)]
 struct UpdateScratch {
-    frontier: BinaryHeap<Reverse<(u32, CellId)>>,
+    buckets: Vec<Vec<u32>>,
     epoch: u64,
     queued: Vec<u64>,
     endpoint_dirty: Vec<u64>,
-    delay_pool: Vec<Vec<f64>>,
     elmore: ElmoreScratch,
 }
 
@@ -153,12 +195,13 @@ pub struct TimingState {
     tables: CellTables,
     arr: Vec<f64>,
     endpoint_arr: Vec<f64>,
-    net_delays: Vec<Vec<f64>>,
+    /// Every net's sink delays, flat; see [`CellTables::net_start`].
+    delays: Vec<f64>,
     endpoints: Vec<CellId>,
     worst: f64,
     undo: UndoLog,
     scratch: UpdateScratch,
-    /// Cells popped off the frontier by the most recent
+    /// Cells taken off the frontier by the most recent
     /// [`TimingState::update_nets`] call (observability only; not
     /// journaled, since it never affects results).
     last_frontier: usize,
@@ -185,11 +228,17 @@ impl TimingState {
             .map(|(id, _)| id)
             .collect();
         let mut state = TimingState {
+            delays: vec![0.0; tables.fanout.len()],
+            scratch: UpdateScratch {
+                buckets: vec![Vec::new(); levels.max_level() as usize + 1],
+                queued: vec![0; netlist.num_cells()],
+                endpoint_dirty: vec![0; netlist.num_cells()],
+                ..UpdateScratch::default()
+            },
             levels,
             tables,
             arr: vec![0.0; netlist.num_cells()],
             endpoint_arr: vec![f64::NEG_INFINITY; netlist.num_cells()],
-            net_delays: vec![Vec::new(); netlist.num_nets()],
             endpoints,
             worst: 0.0,
             undo: UndoLog {
@@ -201,12 +250,8 @@ impl TimingState {
                 saved_arr: Vec::new(),
                 saved_endpoint: Vec::new(),
                 saved_nets: Vec::new(),
+                saved_delays: Vec::new(),
                 worst: None,
-            },
-            scratch: UpdateScratch {
-                queued: vec![0; netlist.num_cells()],
-                endpoint_dirty: vec![0; netlist.num_cells()],
-                ..UpdateScratch::default()
             },
             last_frontier: 0,
         };
@@ -236,7 +281,7 @@ impl TimingState {
                 routing,
                 id,
                 &mut self.scratch.elmore,
-                &mut self.net_delays[id.index()],
+                &mut self.delays[self.tables.net_range(id)],
             );
         }
         for (id, cell) in netlist.cells() {
@@ -246,27 +291,25 @@ impl TimingState {
             };
         }
         for &cell in self.levels.order() {
-            self.arr[cell.index()] =
-                self.worst_fanin(cell).unwrap_or(0.0) + self.tables.intrinsic[cell.index()];
+            let c = cell.index();
+            self.arr[c] = self.worst_fanin(c).unwrap_or(0.0) + self.tables.intrinsic[c];
         }
         for i in 0..self.endpoints.len() {
-            let e = self.endpoints[i];
-            self.endpoint_arr[e.index()] =
-                self.worst_fanin(e).unwrap_or(0.0) + self.tables.endpoint_intrinsic[e.index()];
+            let e = self.endpoints[i].index();
+            self.endpoint_arr[e] =
+                self.worst_fanin(e).unwrap_or(0.0) + self.tables.endpoint_intrinsic[e];
         }
         self.worst = self.scan_worst();
     }
 
-    /// The latest input arrival of `cell` over its precomputed fanin edges
-    /// — the allocation- and lookup-free equivalent of
+    /// The latest input arrival of cell index `cell` over its precomputed
+    /// fanin edges — the allocation- and lookup-free equivalent of
     /// [`crate::sta`]'s `worst_input_arrival`, folding arrivals in the same
     /// pin order.
-    fn worst_fanin(&self, cell: CellId) -> Option<f64> {
-        let lo = self.tables.fanin_start[cell.index()] as usize;
-        let hi = self.tables.fanin_start[cell.index() + 1] as usize;
+    fn worst_fanin(&self, cell: usize) -> Option<f64> {
         let mut best: Option<f64> = None;
-        for e in &self.tables.fanin_edges[lo..hi] {
-            let a = self.arr[e.driver as usize] + self.net_delays[e.net as usize][e.sink as usize];
+        for e in &self.tables.fanin_edges[csr_range(&self.tables.fanin_start, cell)] {
+            let a = self.arr[e.driver as usize] + self.delays[e.slot as usize];
             if best.is_none_or(|b| a > b) {
                 best = Some(a);
             }
@@ -286,7 +329,7 @@ impl TimingState {
 
     /// The interconnect delays currently charged to a net's sinks.
     pub fn net_delays(&self, net: NetId) -> &[f64] {
-        &self.net_delays[net.index()]
+        &self.delays[self.tables.net_range(net)]
     }
 
     /// Every cell's output arrival time, indexed by cell id — the dense
@@ -315,6 +358,7 @@ impl TimingState {
             self.undo.saved_arr.is_empty()
                 && self.undo.saved_endpoint.is_empty()
                 && self.undo.saved_nets.is_empty()
+                && self.undo.saved_delays.is_empty()
                 && self.undo.worst.is_none()
         );
         self.undo.active = true;
@@ -331,12 +375,9 @@ impl TimingState {
         self.undo.active = false;
         self.undo.saved_arr.clear();
         self.undo.saved_endpoint.clear();
+        self.undo.saved_nets.clear();
+        self.undo.saved_delays.clear();
         self.undo.worst = None;
-        let mut saved = std::mem::take(&mut self.undo.saved_nets);
-        for (_, old) in saved.drain(..) {
-            self.recycle_delays(old);
-        }
-        self.undo.saved_nets = saved;
     }
 
     /// Restores the state at [`TimingState::begin_txn`].
@@ -348,35 +389,30 @@ impl TimingState {
         assert!(self.undo.active, "no timing transaction to roll back");
         self.undo.active = false;
         for &(cell, v) in &self.undo.saved_arr {
-            self.arr[cell.index()] = v;
+            self.arr[cell as usize] = v;
         }
         self.undo.saved_arr.clear();
         for &(cell, v) in &self.undo.saved_endpoint {
-            self.endpoint_arr[cell.index()] = v;
+            self.endpoint_arr[cell as usize] = v;
         }
         self.undo.saved_endpoint.clear();
-        let mut saved = std::mem::take(&mut self.undo.saved_nets);
-        for (net, old) in saved.drain(..) {
-            let current = std::mem::replace(&mut self.net_delays[net.index()], old);
-            self.recycle_delays(current);
+        let mut from = 0;
+        for &net in &self.undo.saved_nets {
+            let range = self.tables.net_range(net);
+            let to = from + range.len();
+            self.delays[range].copy_from_slice(&self.undo.saved_delays[from..to]);
+            from = to;
         }
-        self.undo.saved_nets = saved;
+        self.undo.saved_nets.clear();
+        self.undo.saved_delays.clear();
         if let Some(w) = self.undo.worst.take() {
             self.worst = w;
         }
     }
 
-    /// Retires a sink-delay vector into the pool for reuse.
-    fn recycle_delays(&mut self, mut v: Vec<f64>) {
-        if self.scratch.delay_pool.len() < DELAY_POOL_CAP {
-            v.clear();
-            self.scratch.delay_pool.push(v);
-        }
-    }
-
     /// Recomputes the delays of `changed` nets and propagates arrivals to
-    /// the boundaries through a min-level frontier. Returns the new worst
-    /// delay.
+    /// the boundaries through the level-bucketed frontier. Returns the new
+    /// worst delay.
     pub fn update_nets(
         &mut self,
         arch: &Architecture,
@@ -395,12 +431,8 @@ impl TimingState {
         // its stamp equals this call's epoch, so nothing is ever cleared.
         self.scratch.epoch += 1;
         let epoch = self.scratch.epoch;
-        // Frontier keyed by level so arrival refreshes happen in dependency
-        // order even across reconvergent fanout. The heap is always drained
-        // below, so its allocation persists across calls; it is taken out
-        // of the scratch for the duration to keep the borrows disjoint.
-        let mut frontier = std::mem::take(&mut self.scratch.frontier);
-        debug_assert!(frontier.is_empty());
+        // The lowest and highest non-empty bucket levels.
+        let mut span = (usize::MAX, 0);
 
         for &net in changed {
             self.save_net(net);
@@ -411,62 +443,64 @@ impl TimingState {
                 routing,
                 net,
                 &mut self.scratch.elmore,
-                &mut self.net_delays[net.index()],
+                &mut self.delays[self.tables.net_range(net)],
             );
-            for s in netlist.net(net).sinks() {
-                let i = s.cell.index();
-                match self.tables.sink_class[i] {
-                    SINK_INTERNAL if self.scratch.queued[i] != epoch => {
-                        self.scratch.queued[i] = epoch;
-                        frontier.push(Reverse((self.tables.level[i], s.cell)));
-                    }
-                    SINK_ENDPOINT => self.scratch.endpoint_dirty[i] = epoch,
-                    _ => {}
-                }
-            }
+            self.enqueue_fanout(netlist.net(net).driver().cell.index(), epoch, &mut span);
         }
 
-        while let Some(Reverse((_, cell))) = frontier.pop() {
-            self.last_frontier += 1;
-            // 0 never equals a live epoch, so a processed cell can be
-            // re-queued if a later driver change reaches it again.
-            self.scratch.queued[cell.index()] = 0;
-            let new_arr =
-                self.worst_fanin(cell).unwrap_or(0.0) + self.tables.intrinsic[cell.index()];
-            if (new_arr - self.arr[cell.index()]).abs() <= EPS {
-                continue;
-            }
-            self.save_arr(cell);
-            self.arr[cell.index()] = new_arr;
-            if let Some(net) = netlist.driven_net(cell) {
-                for s in netlist.net(net).sinks() {
-                    let i = s.cell.index();
-                    match self.tables.sink_class[i] {
-                        SINK_INTERNAL if self.scratch.queued[i] != epoch => {
-                            self.scratch.queued[i] = epoch;
-                            frontier.push(Reverse((self.tables.level[i], s.cell)));
-                        }
-                        SINK_ENDPOINT => self.scratch.endpoint_dirty[i] = epoch,
-                        _ => {}
-                    }
+        // Fanout always sits at a strictly higher level, so refreshing a
+        // bucket only ever fills later ones and each cell is taken once.
+        let mut level = span.0;
+        while level <= span.1 {
+            let mut bucket = std::mem::take(&mut self.scratch.buckets[level]);
+            for &c in &bucket {
+                let cell = c as usize;
+                self.last_frontier += 1;
+                let new_arr = self.worst_fanin(cell).unwrap_or(0.0) + self.tables.intrinsic[cell];
+                if (new_arr - self.arr[cell]).abs() <= EPS {
+                    continue;
                 }
+                self.save_arr(cell);
+                self.arr[cell] = new_arr;
+                self.enqueue_fanout(cell, epoch, &mut span);
             }
+            bucket.clear();
+            self.scratch.buckets[level] = bucket;
+            level += 1;
         }
-        self.scratch.frontier = frontier;
 
         for i in 0..self.endpoints.len() {
-            let e = self.endpoints[i];
-            if self.scratch.endpoint_dirty[e.index()] != epoch {
+            let e = self.endpoints[i].index();
+            if self.scratch.endpoint_dirty[e] != epoch {
                 continue;
             }
-            let ea = self.worst_fanin(e).unwrap_or(0.0) + self.tables.endpoint_intrinsic[e.index()];
-            if (ea - self.endpoint_arr[e.index()]).abs() > EPS {
+            let ea = self.worst_fanin(e).unwrap_or(0.0) + self.tables.endpoint_intrinsic[e];
+            if (ea - self.endpoint_arr[e]).abs() > EPS {
                 self.save_endpoint(e);
-                self.endpoint_arr[e.index()] = ea;
+                self.endpoint_arr[e] = ea;
             }
         }
         self.worst = self.scan_worst();
         self.worst
+    }
+
+    /// Queues the not-yet-queued internal cells driven by cell index
+    /// `cell` into their level buckets (widening `span`, the non-empty
+    /// level range) and marks its endpoint sinks dirty.
+    fn enqueue_fanout(&mut self, cell: usize, epoch: u64, span: &mut (usize, usize)) {
+        for &s in &self.tables.fanout[csr_range(&self.tables.fanout_start, cell)] {
+            let i = s as usize;
+            match self.tables.sink_class[i] {
+                SINK_INTERNAL if self.scratch.queued[i] != epoch => {
+                    self.scratch.queued[i] = epoch;
+                    let level = self.tables.level[i] as usize;
+                    self.scratch.buckets[level].push(s);
+                    *span = (span.0.min(level), span.1.max(level));
+                }
+                SINK_ENDPOINT => self.scratch.endpoint_dirty[i] = epoch,
+                _ => {}
+            }
+        }
     }
 
     fn scan_worst(&self) -> f64 {
@@ -476,45 +510,36 @@ impl TimingState {
             .fold(0.0f64, f64::max)
     }
 
-    fn save_arr(&mut self, cell: CellId) {
-        if !self.undo.active {
+    fn save_arr(&mut self, cell: usize) {
+        if !self.undo.active || self.undo.arr_stamp[cell] == self.undo.generation {
             return;
         }
-        let i = cell.index();
-        if self.undo.arr_stamp[i] == self.undo.generation {
-            return;
-        }
-        self.undo.arr_stamp[i] = self.undo.generation;
-        self.undo.saved_arr.push((cell, self.arr[i]));
+        self.undo.arr_stamp[cell] = self.undo.generation;
+        self.undo.saved_arr.push((cell as u32, self.arr[cell]));
     }
 
-    fn save_endpoint(&mut self, cell: CellId) {
-        if !self.undo.active {
+    fn save_endpoint(&mut self, cell: usize) {
+        if !self.undo.active || self.undo.endpoint_stamp[cell] == self.undo.generation {
             return;
         }
-        let i = cell.index();
-        if self.undo.endpoint_stamp[i] == self.undo.generation {
-            return;
-        }
-        self.undo.endpoint_stamp[i] = self.undo.generation;
-        self.undo.saved_endpoint.push((cell, self.endpoint_arr[i]));
+        self.undo.endpoint_stamp[cell] = self.undo.generation;
+        self.undo
+            .saved_endpoint
+            .push((cell as u32, self.endpoint_arr[cell]));
     }
 
-    /// Journals a net's current sink delays on first touch by *moving* the
-    /// vector into the undo log and installing a pooled replacement for the
-    /// caller to fill — no element copying either way.
+    /// Journals a net's current sink delays on first touch by copying them
+    /// onto the end of the flat undo buffer.
     fn save_net(&mut self, net: NetId) {
-        if !self.undo.active {
-            return;
-        }
         let i = net.index();
-        if self.undo.net_stamp[i] == self.undo.generation {
+        if !self.undo.active || self.undo.net_stamp[i] == self.undo.generation {
             return;
         }
         self.undo.net_stamp[i] = self.undo.generation;
-        let fresh = self.scratch.delay_pool.pop().unwrap_or_default();
-        let old = std::mem::replace(&mut self.net_delays[i], fresh);
-        self.undo.saved_nets.push((net, old));
+        self.undo.saved_nets.push(net);
+        self.undo
+            .saved_delays
+            .extend_from_slice(&self.delays[self.tables.net_range(net)]);
     }
 
     fn save_worst(&mut self) {
@@ -601,8 +626,8 @@ mod tests {
             // Move, rip up, reroute — then update incrementally and compare
             // against a from-scratch analysis.
             p.swap_sites(&arch, p.site_of(w[0]), p.site_of(w[1]));
-            let mut changed: Vec<NetId> = nl.nets_of_cell(w[0]);
-            changed.extend(nl.nets_of_cell(w[1]));
+            let mut changed: Vec<NetId> = nl.nets_of_cell(w[0]).to_vec();
+            changed.extend_from_slice(nl.nets_of_cell(w[1]));
             changed.sort_unstable();
             changed.dedup();
             st.rip_up_cell(&nl, w[0]);
@@ -611,19 +636,26 @@ mod tests {
             let worst = ts.update_nets(&arch, &nl, &p, &st, &changed);
 
             let oracle = TimingState::new(&arch, &nl, &p, &st).unwrap();
-            assert!(
-                (worst - oracle.worst()).abs() < 1e-6,
-                "incremental {worst} != full {}",
-                oracle.worst()
+            assert_bit_identical(&nl, &ts, &oracle);
+            assert_eq!(worst.to_bits(), oracle.worst().to_bits());
+        }
+    }
+
+    /// Bit equality of the worst delay, every arrival and every net delay.
+    fn assert_bit_identical(nl: &Netlist, a: &TimingState, b: &TimingState) {
+        assert_eq!(a.worst().to_bits(), b.worst().to_bits(), "worst delay");
+        for (id, _) in nl.cells() {
+            assert_eq!(
+                a.arrival(id).to_bits(),
+                b.arrival(id).to_bits(),
+                "arrival of {id:?}"
             );
-            for (id, c) in nl.cells() {
-                if c.kind().has_output() {
-                    assert!(
-                        (ts.arrival(id) - oracle.arrival(id)).abs() < 1e-6,
-                        "arrival mismatch on {id:?}"
-                    );
-                }
-            }
+        }
+        for (id, _) in nl.nets() {
+            let bits = |t: &TimingState| -> Vec<u64> {
+                t.net_delays(id).iter().map(|d| d.to_bits()).collect()
+            };
+            assert_eq!(bits(a), bits(b), "delays of {id:?}");
         }
     }
 
@@ -644,8 +676,8 @@ mod tests {
         ts.begin_txn();
         st.begin_txn();
         p.swap_sites(&arch, p.site_of(a), p.site_of(b));
-        let mut changed = nl.nets_of_cell(a);
-        changed.extend(nl.nets_of_cell(b));
+        let mut changed = nl.nets_of_cell(a).to_vec();
+        changed.extend_from_slice(nl.nets_of_cell(b));
         changed.sort_unstable();
         changed.dedup();
         st.rip_up_cell(&nl, a);
@@ -657,13 +689,7 @@ mod tests {
         st.rollback();
         p.swap_sites(&arch, p.site_of(a), p.site_of(b)); // p.site_of(a) is b's old site now
 
-        assert_eq!(ts.worst(), reference.worst());
-        for (id, _) in nl.cells() {
-            assert_eq!(ts.arrival(id), reference.arrival(id));
-        }
-        for (id, _) in nl.nets() {
-            assert_eq!(ts.net_delays(id), reference.net_delays(id));
-        }
+        assert_bit_identical(&nl, &ts, &reference);
     }
 
     #[test]

@@ -15,14 +15,19 @@
 //! is a pure function of its derived seed and the snapshots it adopts, and
 //! adoption decisions depend only on the deterministic per-replica costs —
 //! thread scheduling cannot reorder them because exchanges happen at a
-//! [`Barrier`]. A single-replica run (`K = 1`) executes on the calling
-//! thread and is bit-identical to the sequential [`Annealer`] driven with
-//! the same configuration.
+//! [`Barrier`]. A single-replica run (`K = 1`) never adopts, so it is
+//! bit-identical to the sequential [`Annealer`] driven with the same
+//! configuration.
+//!
+//! A run can also stop early: a caller-supplied predicate is evaluated by
+//! one replica at every exchange boundary, and all replicas read that one
+//! decision, so they stop together at the same boundary.
 //!
 //! Problems never cross threads — each replica is built *inside* its
 //! thread by the caller's factory — so the problem type itself does not
 //! need to be [`Send`]; only its plain-data layout snapshot does.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use rowfpga_obs::{Event, EventMeta, MetricsRegistry, Obs, PhaseProfiler, ReplaySink};
@@ -85,7 +90,7 @@ pub struct ParallelOutcome<S> {
     pub best: S,
     /// The best replica's final cost.
     pub best_cost: f64,
-    /// Exchange rounds performed (0 for a single replica).
+    /// Exchange rounds performed.
     pub exchanges: usize,
     /// Per-replica outcomes, indexed by replica.
     pub replicas: Vec<ReplicaReport>,
@@ -96,6 +101,7 @@ pub struct ParallelOutcome<S> {
 struct Published {
     cost: f64,
     finished: bool,
+    temps: usize,
 }
 
 /// What a replica thread hands back when it joins: its outcome, adoption
@@ -113,8 +119,8 @@ type JournalBatch = (u64, usize, Vec<(Event, EventMeta)>);
 /// and must build replica `r`'s starting state; replica `r` anneals with
 /// seed [`replica_seed`]`(config.seed, r)`.
 ///
-/// Deterministic in `(config, replicas)`; `replicas == 1` runs on the
-/// calling thread and is bit-identical to the sequential [`Annealer`].
+/// Deterministic in `(config, replicas)`; `replicas == 1` is
+/// bit-identical to the sequential [`Annealer`].
 ///
 /// # Panics
 ///
@@ -130,15 +136,12 @@ where
     P: ReplicaProblem,
     F: Fn(usize) -> P + Sync,
 {
-    anneal_parallel_observed(factory, replicas, config, par, &Obs::disabled())
+    anneal_parallel_observed(factory, replicas, config, par, &Obs::disabled(), |_| false)
 }
 
 /// [`anneal_parallel`] with per-replica observability.
 ///
-/// With an enabled `obs`, a single replica anneals directly against the
-/// caller's session (fully live journal; the RNG stream is untouched, so
-/// the bit-identical contract with the sequential [`Annealer`] holds).
-/// With `K > 1`, each replica thread records into its own buffered
+/// With an enabled `obs`, each replica thread records into its own buffered
 /// session — events stamped with replica id `r + 1` and span ids
 /// namespaced by `(r + 1) << 32` — and the batches are drained at every
 /// exchange barrier, then merged into the caller's journal in
@@ -147,43 +150,29 @@ where
 /// absorbed into the caller's registry, so the merged journal and final
 /// report are pure functions of `(config, replicas)` apart from wall-clock
 /// durations.
-pub fn anneal_parallel_observed<P, F>(
+///
+/// `stop(temps)` is asked once per exchange round, after every replica
+/// has published its cost and before any adopts a layout; `temps`
+/// is the most temperatures any replica has completed. It is not asked
+/// once every replica's schedule has finished. When it returns `true`,
+/// every replica stops at that boundary without adopting, and the outcome
+/// describes the layouts reached there. A deterministic predicate keeps
+/// the run deterministic in `(config, replicas)`.
+pub fn anneal_parallel_observed<P, F, S>(
     factory: F,
     replicas: usize,
     config: &AnnealConfig,
     par: &ParallelConfig,
     obs: &Obs,
+    stop: S,
 ) -> ParallelOutcome<P::Snapshot>
 where
     P: ReplicaProblem,
     F: Fn(usize) -> P + Sync,
+    S: Fn(usize) -> bool + Sync,
 {
     assert!(replicas > 0, "at least one replica");
     let exchange_every = par.exchange_every.max(1);
-
-    // K = 1: the sequential engine on the calling thread, verbatim, with
-    // the caller's own (possibly live-streaming) session.
-    if replicas == 1 {
-        let cfg = AnnealConfig {
-            seed: replica_seed(config.seed, 0),
-            ..config.clone()
-        };
-        let mut problem = factory(0);
-        let mut engine = Annealer::start(&mut problem, &cfg, obs);
-        while engine.step(&mut problem, obs).is_some() {}
-        let outcome = engine.outcome(&problem);
-        let best_cost = outcome.final_cost;
-        return ParallelOutcome {
-            best_replica: 0,
-            best: problem.snapshot(),
-            best_cost,
-            exchanges: 0,
-            replicas: vec![ReplicaReport {
-                outcome,
-                adoptions: 0,
-            }],
-        };
-    }
 
     /// A poisoned mutex means a replica thread panicked; that panic is
     /// re-raised at join, so the journal/metrics state behind the lock is
@@ -198,9 +187,13 @@ where
         Published {
             cost: f64::INFINITY,
             finished: false,
+            temps: 0,
         };
         replicas
     ]);
+    // Replica 0's stop decision for the current round, read by every
+    // replica after the barrier that follows it.
+    let halt = AtomicBool::new(false);
     let best_slot: Mutex<Option<P::Snapshot>> = Mutex::new(None);
     // Journal batches drained at exchange barriers, exchange summaries
     // (computed once per round by replica 0), and each replica's final
@@ -210,14 +203,15 @@ where
     let replica_metrics: Mutex<Vec<(usize, MetricsRegistry, PhaseProfiler)>> =
         Mutex::new(Vec::new());
 
-    let mut results: Vec<Option<ReplicaRun<P::Snapshot>>> = (0..replicas).map(|_| None).collect();
-    std::thread::scope(|scope| {
+    let results: Vec<ReplicaRun<P::Snapshot>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(replicas);
         for r in 0..replicas {
             let factory = &factory;
             let barrier = &barrier;
             let published = &published;
             let best_slot = &best_slot;
+            let halt = &halt;
+            let stop = &stop;
             let journal_batches = &journal_batches;
             let exchange_log = &exchange_log;
             let replica_metrics = &replica_metrics;
@@ -249,51 +243,64 @@ where
                         }
                     }
                     let my_cost = problem.cost();
-                    published.lock().unwrap()[r] = Published {
+                    lock_ignoring_poison(published)[r] = Published {
                         cost: my_cost,
                         finished: engine.finished(),
+                        temps: engine.temperatures_completed(),
                     };
                     barrier.wait();
                     // Every replica derives the same winner from the same
-                    // published costs (strict `<` keeps the lowest index
-                    // on ties).
+                    // published costs.
                     let (winner, winner_cost, all_finished) = {
-                        let pubs = published.lock().unwrap();
-                        let mut w = 0usize;
-                        for (i, p) in pubs.iter().enumerate().skip(1) {
-                            if p.cost.total_cmp(&pubs[w].cost).is_lt() {
-                                w = i;
-                            }
+                        let pubs = lock_ignoring_poison(published);
+                        let (w, winner_cost) =
+                            cheapest(pubs.iter().map(|p| p.cost)).unwrap_or((0, f64::INFINITY));
+                        let all_finished = pubs.iter().all(|p| p.finished);
+                        let halting = r == 0
+                            && !all_finished
+                            && stop(pubs.iter().map(|p| p.temps).max().unwrap_or(0));
+                        if halting {
+                            halt.store(true, Ordering::SeqCst);
                         }
                         if r == 0 && record {
                             // Adoption is a pure function of the published
-                            // costs, so one replica can log the round for
-                            // everyone.
+                            // costs and the stop decision, so one replica
+                            // can log the round for everyone.
                             let adopted = pubs
                                 .iter()
                                 .enumerate()
                                 .filter(|&(i, p)| {
-                                    i != w && !p.finished && p.cost.total_cmp(&pubs[w].cost).is_gt()
+                                    !halting
+                                        && i != w
+                                        && !p.finished
+                                        && p.cost.total_cmp(&winner_cost).is_gt()
                                 })
                                 .count();
                             lock_ignoring_poison(exchange_log).push((
                                 rounds,
                                 w,
-                                pubs[w].cost,
+                                winner_cost,
                                 adopted,
                             ));
                         }
-                        (w, pubs[w].cost, pubs.iter().all(|p| p.finished))
+                        (w, winner_cost, all_finished)
                     };
                     if r == winner {
-                        *best_slot.lock().unwrap() = Some(problem.snapshot());
+                        *lock_ignoring_poison(best_slot) = Some(problem.snapshot());
                     }
                     barrier.wait();
-                    if r != winner && !engine.finished() && my_cost.total_cmp(&winner_cost).is_gt()
+                    let halted = halt.load(Ordering::SeqCst);
+                    if !halted
+                        && r != winner
+                        && !engine.finished()
+                        && my_cost.total_cmp(&winner_cost).is_gt()
                     {
-                        let slot = best_slot.lock().unwrap();
-                        problem.adopt(slot.as_ref().expect("winner published a snapshot"));
-                        adoptions += 1;
+                        // The winner published its snapshot before the
+                        // barrier above.
+                        if let Some(snapshot) = lock_ignoring_poison(best_slot).as_ref() {
+                            problem.adopt(snapshot);
+                            adoptions += 1;
+                        }
                     }
                     if let Some(buffer) = &buffer {
                         let batch = buffer.drain();
@@ -306,7 +313,7 @@ where
                     // winner cannot overwrite the slot next round while a
                     // loser still reads it.
                     barrier.wait();
-                    if all_finished {
+                    if all_finished || halted {
                         break;
                     }
                 }
@@ -328,12 +335,14 @@ where
                 (outcome, adoptions, final_cost, problem.snapshot(), rounds)
             }));
         }
-        for (r, handle) in handles.into_iter().enumerate() {
-            results[r] = Some(match handle.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            });
-        }
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
     });
 
     if record {
@@ -393,29 +402,34 @@ where
         });
     }
 
-    let mut best_replica = 0usize;
-    let mut exchanges = 0usize;
-    let mut reports = Vec::with_capacity(replicas);
-    let mut snapshots = Vec::with_capacity(replicas);
-    let mut costs = Vec::with_capacity(replicas);
-    for (r, slot) in results.into_iter().enumerate() {
-        let (outcome, adoptions, final_cost, snapshot, rounds) =
-            slot.expect("every replica joined");
-        reports.push(ReplicaReport { outcome, adoptions });
-        snapshots.push(Some(snapshot));
-        costs.push(final_cost);
-        if costs[r].total_cmp(&costs[best_replica]).is_lt() {
-            best_replica = r;
-        }
-        exchanges = rounds;
-    }
+    let (best_replica, best_cost) =
+        cheapest(results.iter().map(|run| run.2)).unwrap_or((0, f64::INFINITY));
+    let exchanges = results.last().map_or(0, |run| run.4);
+    let (reports, mut snapshots): (Vec<_>, Vec<_>) = results
+        .into_iter()
+        .map(|(outcome, adoptions, _, snapshot, _)| {
+            (ReplicaReport { outcome, adoptions }, snapshot)
+        })
+        .unzip();
     ParallelOutcome {
         best_replica,
-        best: snapshots[best_replica].take().expect("snapshot present"),
-        best_cost: costs[best_replica],
+        best: snapshots.swap_remove(best_replica),
+        best_cost,
         exchanges,
         replicas: reports,
     }
+}
+
+/// The index and value of the lowest cost under [`f64::total_cmp`], ties
+/// breaking to the lowest index; `None` when there are no costs.
+fn cheapest(costs: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
+    costs.enumerate().reduce(|best, next| {
+        if next.1.total_cmp(&best.1).is_lt() {
+            next
+        } else {
+            best
+        }
+    })
 }
 
 #[cfg(test)]
@@ -501,7 +515,7 @@ mod tests {
         let sequential = anneal(&mut seq, &cfg(11), |_| {});
         let par = run(11, 1);
         assert_eq!(par.best_replica, 0);
-        assert_eq!(par.exchanges, 0);
+        assert_eq!(par.replicas[0].adoptions, 0);
         assert_eq!(par.best, seq.x);
         assert_eq!(par.best_cost, sequential.final_cost);
         let rep = &par.replicas[0].outcome;
@@ -587,6 +601,7 @@ mod tests {
                     &cfg(seed),
                     &ParallelConfig::default(),
                     &obs,
+                    |_| false,
                 )
             });
             (out, ring.snapshot())
@@ -643,6 +658,7 @@ mod tests {
             &cfg(7),
             &ParallelConfig::default(),
             &obs,
+            |_| false,
         );
         let total_moves: usize = out.replicas.iter().map(|r| r.outcome.total_moves).sum();
         let counted = obs

@@ -1,14 +1,19 @@
-//! Property test for multi-replica determinism: for any base seed and
+//! Property tests for multi-replica determinism: for any base seed and
 //! replica count, two parallel runs produce identical outcomes — thread
-//! scheduling must not be observable.
+//! scheduling must not be observable — and a stop predicate halts every
+//! replica at the same exchange boundary.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use rowfpga_anneal::{
-    anneal_parallel, AnnealConfig, AnnealProblem, ParallelConfig, ParallelOutcome, ReplicaProblem,
+    anneal_parallel, anneal_parallel_observed, AnnealConfig, AnnealProblem, ParallelConfig,
+    ParallelOutcome, ReplicaProblem,
 };
+use rowfpga_obs::Obs;
 
 /// Minimize squared distance from a target vector; the vector itself is
 /// the exchanged snapshot.
@@ -67,13 +72,41 @@ impl ReplicaProblem for Toy {
     }
 }
 
-fn run(seed: u64, k: usize, exchange_every: usize) -> ParallelOutcome<Vec<i64>> {
-    let cfg = AnnealConfig {
+fn cfg(seed: u64) -> AnnealConfig {
+    AnnealConfig {
         seed,
         max_temps: 15,
         ..AnnealConfig::fast()
-    };
-    anneal_parallel(|_| Toy::new(6), k, &cfg, &ParallelConfig { exchange_every })
+    }
+}
+
+fn run(seed: u64, k: usize, exchange_every: usize) -> ParallelOutcome<Vec<i64>> {
+    anneal_parallel(
+        |_| Toy::new(6),
+        k,
+        &cfg(seed),
+        &ParallelConfig { exchange_every },
+    )
+}
+
+/// `run` with a stop predicate that fires on its call number `stop_call`
+/// (counting from 0); also returns how often the predicate was asked.
+fn run_stopping(
+    seed: u64,
+    k: usize,
+    exchange_every: usize,
+    stop_call: usize,
+) -> (ParallelOutcome<Vec<i64>>, usize) {
+    let calls = AtomicUsize::new(0);
+    let out = anneal_parallel_observed(
+        |_| Toy::new(6),
+        k,
+        &cfg(seed),
+        &ParallelConfig { exchange_every },
+        &Obs::disabled(),
+        |_| calls.fetch_add(1, Ordering::SeqCst) == stop_call,
+    );
+    (out, calls.into_inner())
 }
 
 proptest! {
@@ -97,6 +130,43 @@ proptest! {
             prop_assert_eq!(x.adoptions, y.adoptions);
             prop_assert_eq!(x.outcome.total_moves, y.outcome.total_moves);
             prop_assert_eq!(&x.outcome.history, &y.outcome.history);
+        }
+    }
+
+    /// A stop decided at round `stop_call` ends every replica's walk at
+    /// that round's boundary (earlier only if its schedule finished
+    /// first), identically on every run.
+    #[test]
+    fn a_stop_halts_every_replica_at_one_boundary(
+        seed in 0u64..10_000,
+        k in 1usize..4,
+        exchange_every in 1usize..6,
+        stop_call in 0usize..4,
+    ) {
+        let (a, calls) = run_stopping(seed, k, exchange_every, stop_call);
+        let (b, _) = run_stopping(seed, k, exchange_every, stop_call);
+        prop_assert_eq!(a.best_replica, b.best_replica);
+        prop_assert_eq!(&a.best, &b.best);
+        prop_assert_eq!(a.exchanges, b.exchanges);
+        for (x, y) in a.replicas.iter().zip(&b.replicas) {
+            prop_assert_eq!(x.adoptions, y.adoptions);
+            prop_assert_eq!(&x.outcome.history, &y.outcome.history);
+        }
+
+        let full = run(seed, k, exchange_every);
+        if calls <= stop_call {
+            // Never fired: the run is the unstopped one.
+            prop_assert_eq!(&a.best, &full.best);
+            prop_assert_eq!(a.exchanges, full.exchanges);
+        } else {
+            // Asked once per round, and never again after a stop.
+            prop_assert_eq!(calls, stop_call + 1);
+            prop_assert_eq!(a.exchanges, stop_call + 1);
+            let boundary = (stop_call + 1) * exchange_every;
+            for (x, whole) in a.replicas.iter().zip(&full.replicas) {
+                let reached = whole.outcome.history.len().min(boundary);
+                prop_assert_eq!(&x.outcome.history[..], &whole.outcome.history[..reached]);
+            }
         }
     }
 }

@@ -103,16 +103,24 @@ impl CommonOpts {
     /// The first resilience flag present, if any — these are only
     /// meaningful for the simultaneous flow's single-run subcommands.
     fn resilience_flag(&self) -> Option<&'static str> {
+        if self.deadline.is_some() {
+            Some("--deadline")
+        } else if self.temp_budget.is_some() {
+            Some("--temp-budget")
+        } else {
+            self.single_replica_flag()
+        }
+    }
+
+    /// The first flag present that acts on one replica's state between
+    /// temperatures, which parallel replicas cannot honour.
+    fn single_replica_flag(&self) -> Option<&'static str> {
         if self.checkpoint.is_some() {
             Some("--checkpoint")
         } else if self.resume.is_some() {
             Some("--resume")
-        } else if self.deadline.is_some() {
-            Some("--deadline")
         } else if self.audit_every != 0 {
             Some("--audit-every")
-        } else if self.temp_budget.is_some() {
-            Some("--temp-budget")
         } else {
             None
         }
@@ -390,7 +398,9 @@ PARALLELISM (simultaneous flow only):
   --threads N|auto anneal N independent replicas on N threads, exchanging
                    the best layout at temperature boundaries; deterministic
                    for a fixed (seed, N), and N=1 is bit-identical to the
-                   sequential engine (incompatible with resilience flags).
+                   sequential engine. --deadline, --temp-budget and SIGINT
+                   stop every replica at the next exchange; --checkpoint,
+                   --resume and --audit-every need N=1.
                    `auto` caps the replica count at the host's cores; an
                    explicit N above that runs anyway with a journaled
                    `oversubscribed` warning
@@ -438,8 +448,9 @@ RESILIENCE (simultaneous flow only):
   --temp-budget N       stop after N temperatures (deterministic deadline)
 
 SIGINT (ctrl-c) is handled like a deadline: the current temperature
-finishes, a final checkpoint is written, and the best layout so far is
-returned with `stop: interrupted`.
+(with --threads N>1, the current exchange round) finishes, a final
+checkpoint is written, and the best layout so far is returned with
+`stop: interrupted`.
 
 FUZZING:
   rowfpga fuzz draws random architectures and netlists, replays random
@@ -634,7 +645,7 @@ fn parse_common(args: &[String]) -> Result<(CommonOpts, Vec<String>), ArgError> 
         }
     }
     if opts.threads.may_be_parallel() {
-        if let Some(flag) = opts.resilience_flag() {
+        if let Some(flag) = opts.single_replica_flag() {
             return Err(ArgError::Conflict {
                 detail: format!(
                     "`{flag}` is not supported with `--threads`; parallel replicas \
@@ -1321,9 +1332,7 @@ mod tests {
         for flag in [
             &["--checkpoint", "ck.json"][..],
             &["--resume", "ck.json"][..],
-            &["--deadline", "5"][..],
             &["--audit-every", "2"][..],
-            &["--temp-budget", "9"][..],
         ] {
             let mut args = v(&["layout", "d.net", "--threads", "2"]);
             args.extend(flag.iter().map(|s| s.to_string()));
@@ -1343,6 +1352,17 @@ mod tests {
             "ck.json"
         ]))
         .is_ok());
+        // Stop budgets work with any replica count.
+        for flag in [&["--deadline", "5"][..], &["--temp-budget", "9"][..]] {
+            for threads in ["2", "auto"] {
+                let mut args = v(&["layout", "d.net", "--threads", threads]);
+                args.extend(flag.iter().map(|s| s.to_string()));
+                assert!(
+                    parse_args(&args).is_ok(),
+                    "{flag:?} with --threads {threads}"
+                );
+            }
+        }
         // `auto` may resolve to >1 replica, so the same conflicts apply
         // regardless of the host this parse runs on.
         assert!(matches!(
@@ -1351,8 +1371,8 @@ mod tests {
                 "d.net",
                 "--threads",
                 "auto",
-                "--deadline",
-                "5"
+                "--checkpoint",
+                "ck.json"
             ]))
             .unwrap_err(),
             ArgError::Conflict { .. }

@@ -177,8 +177,7 @@ fn run_layout(
             cfg.resilience.audit_every = opts.audit_every;
             cfg.resilience.temp_budget = opts.temp_budget;
             let cores = host_cores();
-            let threads = opts.threads.resolve(cores);
-            cfg.threads = threads;
+            cfg.threads = opts.threads.resolve(cores);
             if let ThreadsChoice::Count(n) = opts.threads {
                 // An explicit count always wins, but replicas beyond the
                 // host's cores time-slice instead of running concurrently.
@@ -193,14 +192,7 @@ fn run_layout(
                     );
                 }
             }
-            let tool = SimultaneousPlaceRoute::new(cfg);
-            if threads > 1 {
-                // The parser rejects --threads plus resilience flags, so
-                // the parallel path never silently drops a checkpoint.
-                tool.run_parallel(arch, netlist, label, obs)?
-            } else {
-                tool.run_with_stop(arch, netlist, label, obs, stop)?
-            }
+            SimultaneousPlaceRoute::new(cfg).run_with_stop(arch, netlist, label, obs, stop)?
         }
         FlowChoice::Sequential => {
             let base = if opts.fast {

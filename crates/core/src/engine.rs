@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use rowfpga_anneal::{
@@ -43,6 +43,13 @@ pub enum LayoutError {
         /// The divergence that survived every repair attempt.
         detail: String,
     },
+    /// A run with more than one annealing replica was configured with a
+    /// setting only a single replica supports (checkpointing, resume or
+    /// the self-audit); the run did not start.
+    Unsupported {
+        /// The [`ResilienceConfig`] field that is set.
+        setting: &'static str,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -52,6 +59,9 @@ impl fmt::Display for LayoutError {
             LayoutError::CombLoop(e) => write!(f, "timing undefined: {e}"),
             LayoutError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
             LayoutError::Audit { detail } => write!(f, "unrepairable state divergence: {detail}"),
+            LayoutError::Unsupported { setting } => {
+                write!(f, "`{setting}` is not supported with more than one replica")
+            }
         }
     }
 }
@@ -62,7 +72,7 @@ impl Error for LayoutError {
             LayoutError::Placement(e) => Some(e),
             LayoutError::CombLoop(e) => Some(e),
             LayoutError::Checkpoint(e) => Some(e),
-            LayoutError::Audit { .. } => None,
+            LayoutError::Audit { .. } | LayoutError::Unsupported { .. } => None,
         }
     }
 }
@@ -101,9 +111,10 @@ impl fmt::Display for StopReason {
     }
 }
 
-/// A cooperative stop request, checked between temperature steps: the
-/// current temperature always finishes, then the run writes its final
-/// checkpoint and returns with [`StopReason::Interrupted`].
+/// A cooperative stop request, checked between temperature steps (with
+/// several replicas, at every exchange round): the current temperature
+/// or round always finishes, then the run writes its final checkpoint
+/// and returns with [`StopReason::Interrupted`].
 ///
 /// Cloning shares the flag; [`StopFlag::watching`] additionally observes a
 /// `'static` atomic (the shape a signal handler can set).
@@ -236,6 +247,34 @@ impl ResilienceConfig {
             || self.temp_budget.is_some()
             || self.audit_every > 0
     }
+
+    /// The first setting a multi-replica run cannot honour: checkpoints,
+    /// resume and audits act on one replica's state between temperatures.
+    fn single_replica_setting(&self) -> Option<&'static str> {
+        if self.checkpoint_path.is_some() {
+            Some("checkpoint_path")
+        } else if self.resume_path.is_some() {
+            Some("resume_path")
+        } else if self.audit_every > 0 {
+            Some("audit_every")
+        } else {
+            None
+        }
+    }
+
+    /// Why a run that started at `start` should stop at a boundary with
+    /// `temps` temperatures completed, if it should.
+    fn stop_reason(&self, stop: &StopFlag, start: Instant, temps: usize) -> Option<StopReason> {
+        if stop.is_set() {
+            Some(StopReason::Interrupted)
+        } else if self.deadline.is_some_and(|d| start.elapsed() >= d)
+            || self.temp_budget.is_some_and(|b| temps >= b)
+        {
+            Some(StopReason::Deadline)
+        } else {
+            None
+        }
+    }
 }
 
 /// Configuration of the simultaneous flow.
@@ -261,9 +300,12 @@ pub struct SimPrConfig {
     pub cleanup_moves: usize,
     /// Checkpoint/resume, deadlines and the self-audit loop.
     pub resilience: ResilienceConfig,
-    /// Annealing replicas run in parallel by
-    /// [`SimultaneousPlaceRoute::run_parallel`] (1 = sequential). The
-    /// sequential entry points ignore this field.
+    /// Annealing replicas, each on its own thread (1 = the sequential
+    /// engine on the calling thread; 0 counts as 1). Every entry point of
+    /// [`SimultaneousPlaceRoute`] honours it. With more than one replica,
+    /// stop requests, the wall-clock deadline and the temperature budget
+    /// take effect at the next exchange round, and checkpointing, resume
+    /// and audits are rejected with [`LayoutError::Unsupported`].
     pub threads: usize,
 }
 
@@ -340,6 +382,21 @@ pub struct LayoutResult {
     pub repairs: usize,
 }
 
+/// What the anneal phase hands the shared tail of
+/// [`SimultaneousPlaceRoute::run_with_stop`].
+struct Annealed<'a> {
+    /// The annealed layout (the winning replica's, with several).
+    problem: LayoutProblem<'a>,
+    stop_reason: StopReason,
+    /// Best-so-far layout, for degrading an early-stopped run.
+    best: Option<BestLayout>,
+    temperatures: usize,
+    total_moves: usize,
+    repairs: usize,
+    /// The annealing seed of the layout's replica; it seeds the cleanup.
+    anneal_seed: u64,
+}
+
 /// The paper's simultaneous placement, global and detailed routing tool.
 #[derive(Clone, Debug)]
 pub struct SimultaneousPlaceRoute {
@@ -388,16 +445,26 @@ impl SimultaneousPlaceRoute {
 
     /// Like [`SimultaneousPlaceRoute::run_observed`], with a cooperative
     /// [`StopFlag`]: when it fires, the run finishes the current
-    /// temperature, writes a final checkpoint (if checkpointing is
+    /// temperature (with [`SimPrConfig::threads`] `> 1`, the current
+    /// exchange round), writes a final checkpoint (if checkpointing is
     /// configured) and returns its best-so-far layout tagged
     /// [`StopReason::Interrupted`].
+    ///
+    /// This is the one layout driver; the other entry points forward to
+    /// it. The replica count only changes the anneal phase: one replica
+    /// anneals temperature by temperature on the calling thread, several
+    /// run [`anneal_parallel_observed`] and stop together at an exchange
+    /// boundary. Either way the annealed layout then gets the same
+    /// zero-temperature cleanup, final repair pass and standalone timing
+    /// analysis.
     ///
     /// # Errors
     ///
     /// Returns [`LayoutError`] if the design does not fit the chip,
     /// contains a combinational loop, a configured resume checkpoint does
-    /// not load or match this design and seeds, or the self-audit finds an
-    /// unrepairable divergence.
+    /// not load or match this design and seeds, the self-audit finds an
+    /// unrepairable divergence, or more than one replica is asked to
+    /// checkpoint, resume or audit ([`LayoutError::Unsupported`]).
     pub fn run_with_stop(
         &self,
         arch: &Architecture,
@@ -408,7 +475,12 @@ impl SimultaneousPlaceRoute {
     ) -> Result<LayoutResult, LayoutError> {
         // rowfpga-lint: allow(determinism) reason=wall-clock is deadline/telemetry only and never steers the search
         let start = Instant::now();
-        let res = &self.config.resilience;
+        let threads = self.config.threads.max(1);
+        if threads > 1 {
+            if let Some(setting) = self.config.resilience.single_replica_setting() {
+                return Err(LayoutError::Unsupported { setting });
+            }
+        }
         if obs.enabled() {
             obs.emit(Event::RunStart {
                 flow: "simultaneous".into(),
@@ -421,6 +493,157 @@ impl SimultaneousPlaceRoute {
         if anneal_cfg.moves_per_temp == 0 {
             anneal_cfg.moves_per_temp = AnnealConfig::moves_for_cells(netlist.num_cells(), 1.0);
         }
+        // Fail fast on the caller's thread: replica construction inside
+        // worker threads can only fail the same ways, so these checks make
+        // the replica factory's panics unreachable.
+        Placement::check_fits(arch, netlist).map_err(LayoutError::Placement)?;
+        LayoutProblem::check_levelizable(netlist).map_err(LayoutError::CombLoop)?;
+
+        let mut run = if threads == 1 {
+            self.anneal_one(arch, netlist, obs, stop, start, &anneal_cfg)?
+        } else {
+            self.anneal_replicas(arch, netlist, obs, stop, start, &anneal_cfg, threads)?
+        };
+
+        // Zero-temperature cleanup: when the schedule froze with a few nets
+        // still unrouted, a burst of greedy (improving-only) moves usually
+        // shakes the last stragglers loose — the placement-level leverage of
+        // §2.1 applied once more, without the stochastic uphill component.
+        // Early-stopped runs skip it: they return promptly with what they
+        // have.
+        if run.stop_reason == StopReason::Converged
+            && run.problem.routing().incomplete() > 0
+            && self.config.cleanup_moves > 0
+        {
+            use rand::SeedableRng as _;
+            use rowfpga_anneal::AnnealProblem as _;
+            obs.span_start("cleanup");
+            let mut rng = rand::rngs::StdRng::seed_from_u64(run.anneal_seed.wrapping_add(0x51ea9));
+            for _ in 0..self.config.cleanup_moves {
+                let (applied, delta) = run.problem.propose_and_apply(&mut rng);
+                obs.inc("cleanup.moves");
+                if delta <= 0.0 {
+                    run.problem.commit(applied);
+                    obs.inc("cleanup.accepted");
+                } else {
+                    run.problem.undo(applied);
+                }
+                if run.problem.routing().incomplete() == 0 {
+                    break;
+                }
+            }
+            obs.span_end("cleanup");
+        }
+
+        let final_cost = {
+            use rowfpga_anneal::AnnealProblem as _;
+            run.problem.cost()
+        };
+        let current_key = (
+            run.problem.routing().incomplete(),
+            run.problem.routing().globally_unrouted(),
+            run.problem.timing().worst(),
+        );
+        let (mut placement, mut routing, dynamics) = run.problem.into_parts();
+        if run.stop_reason == StopReason::Converged {
+            if !routing.is_fully_routed() && self.config.final_repair_passes > 0 {
+                // Placement is frozen now; a few rip-up-and-retry rounds often
+                // recover the last stragglers, exactly as a sequential flow's
+                // router would.
+                let repair = obs.span("final_repair", || {
+                    route_batch_observed(
+                        &mut routing,
+                        arch,
+                        netlist,
+                        &placement,
+                        &self.config.router,
+                        self.config.final_repair_passes,
+                        obs,
+                    )
+                });
+                if obs.enabled() {
+                    obs.add("route.detail_failures", repair.detail_failures as u64);
+                    obs.emit(Event::Reroute {
+                        scope: "final_repair".into(),
+                        stats: RerouteRecord {
+                            globally_routed: repair.globally_routed,
+                            detail_routed: repair.detail_routed,
+                            detail_failures: repair.detail_failures,
+                        },
+                    });
+                }
+            }
+        } else if let Some(b) = run.best.as_ref().filter(|b| b.key() < current_key) {
+            // Degradation: the run is returning early, and a strictly
+            // better layout was seen along the way — hand that one back.
+            if let (Ok(p), Ok(r)) = (
+                Placement::from_parts(arch, netlist, &b.sites, &b.pinmaps),
+                RoutingState::restore(arch, netlist, &b.routes),
+            ) {
+                placement = p;
+                routing = r;
+            }
+        }
+
+        let sta = obs.span("final_sta", || {
+            Sta::analyze_observed(arch, netlist, &placement, &routing, obs)
+                .map_err(LayoutError::CombLoop)
+        })?;
+        let critical_path = sta.critical_path(netlist);
+        if run.stop_reason == StopReason::Converged && run.repairs > 0 {
+            run.stop_reason = StopReason::Repaired;
+        }
+        let result = LayoutResult {
+            fully_routed: routing.is_fully_routed(),
+            globally_unrouted: routing.globally_unrouted(),
+            incomplete: routing.incomplete(),
+            worst_delay: sta.worst_delay(),
+            critical_path,
+            dynamics,
+            temperatures: run.temperatures,
+            total_moves: run.total_moves,
+            runtime: start.elapsed(),
+            stop_reason: run.stop_reason,
+            repairs: run.repairs,
+            placement,
+            routing,
+        };
+        if obs.enabled() {
+            obs.emit(Event::Stop {
+                reason: result.stop_reason.to_string(),
+                temps: result.temperatures,
+                repairs: result.repairs,
+            });
+            let metrics = obs
+                .with_session(|s| s.metrics.to_json())
+                .unwrap_or(Json::Null);
+            obs.emit(Event::RunEnd {
+                cost: final_cost,
+                worst_delay: result.worst_delay,
+                unrouted: result.incomplete,
+                total_moves: result.total_moves,
+                temperatures: result.temperatures,
+                runtime_sec: result.runtime.as_secs_f64(),
+                metrics,
+            });
+            obs.flush();
+        }
+        Ok(result)
+    }
+
+    /// The anneal phase with one replica, on the calling thread, one
+    /// temperature at a time: the resilience layer (resume, stop checks,
+    /// audits, best-so-far tracking, checkpoints) acts at every boundary.
+    fn anneal_one<'a>(
+        &self,
+        arch: &'a Architecture,
+        netlist: &'a Netlist,
+        obs: &Obs,
+        stop: &StopFlag,
+        start: Instant,
+        anneal_cfg: &AnnealConfig,
+    ) -> Result<Annealed<'a>, LayoutError> {
+        let res = &self.config.resilience;
 
         // Resume source is loaded and validated before any state is built:
         // a stale or foreign checkpoint must fail fast.
@@ -461,7 +684,7 @@ impl SimultaneousPlaceRoute {
             .as_ref()
             .map(|_| (arch_fingerprint(arch), netlist_fingerprint(netlist)));
 
-        let mut problem: LayoutProblem<'_>;
+        let mut problem: LayoutProblem<'a>;
         let mut annealer: Annealer;
         let mut repairs_total: usize;
         let mut best: Option<BestLayout>;
@@ -476,7 +699,7 @@ impl SimultaneousPlaceRoute {
                     &ck.problem,
                 )?
                 .with_obs(obs.clone());
-                annealer = Annealer::resume(&anneal_cfg, &ck.cursor);
+                annealer = Annealer::resume(anneal_cfg, &ck.cursor);
                 repairs_total = ck.repairs;
                 best = ck.best.clone();
                 obs.span_start("anneal");
@@ -492,7 +715,7 @@ impl SimultaneousPlaceRoute {
                 )?
                 .with_obs(obs.clone());
                 obs.span_start("anneal");
-                annealer = Annealer::start(&mut problem, &anneal_cfg, obs);
+                annealer = Annealer::start(&mut problem, anneal_cfg, obs);
                 repairs_total = 0;
                 best = None;
             }
@@ -507,19 +730,8 @@ impl SimultaneousPlaceRoute {
             if annealer.finished() {
                 break;
             }
-            if stop.is_set() {
-                stop_reason = StopReason::Interrupted;
-                break;
-            }
-            if res.deadline.is_some_and(|d| start.elapsed() >= d) {
-                stop_reason = StopReason::Deadline;
-                break;
-            }
-            if res
-                .temp_budget
-                .is_some_and(|b| annealer.temperatures_completed() >= b)
-            {
-                stop_reason = StopReason::Deadline;
+            if let Some(reason) = res.stop_reason(stop, start, annealer.temperatures_completed()) {
+                stop_reason = reason;
                 break;
             }
             if annealer.step(&mut problem, obs).is_none() {
@@ -638,188 +850,40 @@ impl SimultaneousPlaceRoute {
             }
         }
 
-        // Zero-temperature cleanup: when the schedule froze with a few nets
-        // still unrouted, a burst of greedy (improving-only) moves usually
-        // shakes the last stragglers loose — the placement-level leverage of
-        // §2.1 applied once more, without the stochastic uphill component.
-        // Early-stopped runs skip it: they return promptly with what they
-        // have.
-        if stop_reason == StopReason::Converged
-            && problem.routing().incomplete() > 0
-            && self.config.cleanup_moves > 0
-        {
-            use rand::SeedableRng as _;
-            use rowfpga_anneal::AnnealProblem as _;
-            obs.span_start("cleanup");
-            let mut rng = rand::rngs::StdRng::seed_from_u64(anneal_cfg.seed.wrapping_add(0x51ea9));
-            for _ in 0..self.config.cleanup_moves {
-                let (applied, delta) = problem.propose_and_apply(&mut rng);
-                obs.inc("cleanup.moves");
-                if delta <= 0.0 {
-                    problem.commit(applied);
-                    obs.inc("cleanup.accepted");
-                } else {
-                    problem.undo(applied);
-                }
-                if problem.routing().incomplete() == 0 {
-                    break;
-                }
-            }
-            obs.span_end("cleanup");
-        }
-
-        let final_cost = {
-            use rowfpga_anneal::AnnealProblem as _;
-            problem.cost()
-        };
-        let current_key = (
-            problem.routing().incomplete(),
-            problem.routing().globally_unrouted(),
-            problem.timing().worst(),
-        );
-        let (mut placement, mut routing, dynamics) = problem.into_parts();
-        if stop_reason == StopReason::Converged {
-            if !routing.is_fully_routed() && self.config.final_repair_passes > 0 {
-                // Placement is frozen now; a few rip-up-and-retry rounds often
-                // recover the last stragglers, exactly as a sequential flow's
-                // router would.
-                let repair = obs.span("final_repair", || {
-                    route_batch_observed(
-                        &mut routing,
-                        arch,
-                        netlist,
-                        &placement,
-                        &self.config.router,
-                        self.config.final_repair_passes,
-                        obs,
-                    )
-                });
-                if obs.enabled() {
-                    obs.add("route.detail_failures", repair.detail_failures as u64);
-                    obs.emit(Event::Reroute {
-                        scope: "final_repair".into(),
-                        stats: RerouteRecord {
-                            globally_routed: repair.globally_routed,
-                            detail_routed: repair.detail_routed,
-                            detail_failures: repair.detail_failures,
-                        },
-                    });
-                }
-            }
-        } else if let Some(b) = best.as_ref().filter(|b| b.key() < current_key) {
-            // Degradation: the run is returning early, and a strictly
-            // better layout was seen along the way — hand that one back.
-            if let (Ok(p), Ok(r)) = (
-                Placement::from_parts(arch, netlist, &b.sites, &b.pinmaps),
-                RoutingState::restore(arch, netlist, &b.routes),
-            ) {
-                placement = p;
-                routing = r;
-            }
-        }
-
-        let sta = obs.span("final_sta", || {
-            Sta::analyze_observed(arch, netlist, &placement, &routing, obs)
-                .map_err(LayoutError::CombLoop)
-        })?;
-        let critical_path = sta.critical_path(netlist);
-        if stop_reason == StopReason::Converged && repairs_total > 0 {
-            stop_reason = StopReason::Repaired;
-        }
-        let result = LayoutResult {
-            fully_routed: routing.is_fully_routed(),
-            globally_unrouted: routing.globally_unrouted(),
-            incomplete: routing.incomplete(),
-            worst_delay: sta.worst_delay(),
-            critical_path,
-            dynamics,
+        Ok(Annealed {
+            problem,
+            stop_reason,
+            best,
             temperatures: annealer.temperatures_completed(),
             total_moves: annealer.total_moves(),
-            runtime: start.elapsed(),
-            stop_reason,
             repairs: repairs_total,
-            placement,
-            routing,
-        };
-        if obs.enabled() {
-            obs.emit(Event::Stop {
-                reason: stop_reason.to_string(),
-                temps: result.temperatures,
-                repairs: repairs_total,
-            });
-            let metrics = obs
-                .with_session(|s| s.metrics.to_json())
-                .unwrap_or(Json::Null);
-            obs.emit(Event::RunEnd {
-                cost: final_cost,
-                worst_delay: result.worst_delay,
-                unrouted: result.incomplete,
-                total_moves: result.total_moves,
-                temperatures: result.temperatures,
-                runtime_sec: result.runtime.as_secs_f64(),
-                metrics,
-            });
-            obs.flush();
-        }
-        Ok(result)
+            anneal_seed: anneal_cfg.seed,
+        })
     }
 
-    /// Lays out `netlist` on `arch` with [`SimPrConfig::threads`] parallel
-    /// annealing replicas exchanging their best layout at temperature
-    /// boundaries (see [`anneal_parallel_observed`]). Replica `r` starts
-    /// from the
-    /// random placement seeded [`replica_seed`]`(placement_seed, r)` and
-    /// anneals with seed `replica_seed(anneal.seed, r)`, so `threads == 1`
-    /// reproduces the sequential flow bit-for-bit. The best replica's final
-    /// layout then gets the same zero-temperature cleanup, final repair
-    /// pass and standalone timing analysis as the sequential flow.
+    /// The anneal phase with `threads > 1` replicas exchanging their best
+    /// layout at temperature boundaries (see [`anneal_parallel_observed`]).
+    /// Replica `r` starts from the random placement seeded
+    /// [`replica_seed`]`(placement_seed, r)` and anneals with seed
+    /// `replica_seed(anneal.seed, r)`. The stop checks run once per
+    /// exchange round, so every replica stops at the same boundary and the
+    /// winning replica's layout at that boundary is returned.
     ///
-    /// The result is deterministic in `(config, threads)` — thread
-    /// scheduling cannot change it. The resilience layer (checkpoints,
-    /// resume, audits, deadlines) is not supported here; callers should
-    /// reject such configurations up front.
-    ///
-    /// In the result, `temperatures` and `dynamics` describe the winning
-    /// replica's walk while `total_moves` counts work across all replicas.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError`] if the design does not fit the chip or
-    /// contains a combinational loop (both checked before any thread is
-    /// spawned).
-    pub fn run_parallel(
+    /// `temperatures` and `dynamics` describe the winning replica's walk,
+    /// while `total_moves` counts work across all replicas.
+    #[allow(clippy::too_many_arguments)]
+    fn anneal_replicas<'a>(
         &self,
-        arch: &Architecture,
-        netlist: &Netlist,
-        label: &str,
+        arch: &'a Architecture,
+        netlist: &'a Netlist,
         obs: &Obs,
-    ) -> Result<LayoutResult, LayoutError> {
-        let threads = self.config.threads.max(1);
-        if threads == 1 {
-            return self.run_observed(arch, netlist, label, obs);
-        }
-        // rowfpga-lint: allow(determinism) reason=wall-clock is deadline/telemetry only and never steers the search
-        let start = Instant::now();
-        if obs.enabled() {
-            obs.emit(Event::RunStart {
-                flow: "simultaneous".into(),
-                benchmark: label.into(),
-                seed: self.config.placement_seed,
-                config: self.config_capture(netlist),
-            });
-        }
-        let mut anneal_cfg = self.config.anneal.clone();
-        if anneal_cfg.moves_per_temp == 0 {
-            anneal_cfg.moves_per_temp = AnnealConfig::moves_for_cells(netlist.num_cells(), 1.0);
-        }
-
-        // Fail fast on the caller's thread: replica construction inside
-        // worker threads can only fail the same ways, so these checks make
-        // the factory's panics unreachable.
-        Placement::random(arch, netlist, self.config.placement_seed)
-            .map_err(LayoutError::Placement)?;
-        LayoutProblem::check_levelizable(netlist).map_err(LayoutError::CombLoop)?;
-
+        stop: &StopFlag,
+        start: Instant,
+        anneal_cfg: &AnnealConfig,
+        threads: usize,
+    ) -> Result<Annealed<'a>, LayoutError> {
+        let res = &self.config.resilience;
+        let decided = OnceLock::new();
         obs.span_start("anneal");
         let outcome = anneal_parallel_observed(
             |r| {
@@ -834,9 +898,15 @@ impl SimultaneousPlaceRoute {
                 .expect("replica construction was pre-validated")
             },
             threads,
-            &anneal_cfg,
+            anneal_cfg,
             &ParallelConfig::default(),
             obs,
+            // Asked once per round until it first says stop, so the first
+            // reason is the only one.
+            |temps| {
+                res.stop_reason(stop, start, temps)
+                    .is_some_and(|r| decided.set(r).is_ok())
+            },
         );
         obs.span_end("anneal");
         if obs.enabled() {
@@ -846,7 +916,7 @@ impl SimultaneousPlaceRoute {
             }
         }
 
-        let mut problem = LayoutProblem::restore(
+        let problem = LayoutProblem::restore(
             arch,
             netlist,
             self.config.router,
@@ -855,102 +925,31 @@ impl SimultaneousPlaceRoute {
             &outcome.best,
         )?
         .with_obs(obs.clone());
-
-        if problem.routing().incomplete() > 0 && self.config.cleanup_moves > 0 {
-            use rand::SeedableRng as _;
-            use rowfpga_anneal::AnnealProblem as _;
-            obs.span_start("cleanup");
-            let cleanup_seed =
-                replica_seed(anneal_cfg.seed, outcome.best_replica).wrapping_add(0x51ea9);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(cleanup_seed);
-            for _ in 0..self.config.cleanup_moves {
-                let (applied, delta) = problem.propose_and_apply(&mut rng);
-                obs.inc("cleanup.moves");
-                if delta <= 0.0 {
-                    problem.commit(applied);
-                    obs.inc("cleanup.accepted");
-                } else {
-                    problem.undo(applied);
-                }
-                if problem.routing().incomplete() == 0 {
-                    break;
-                }
-            }
-            obs.span_end("cleanup");
-        }
-
-        let final_cost = {
-            use rowfpga_anneal::AnnealProblem as _;
-            problem.cost()
-        };
-        let (placement, mut routing, dynamics) = problem.into_parts();
-        if !routing.is_fully_routed() && self.config.final_repair_passes > 0 {
-            let repair = obs.span("final_repair", || {
-                route_batch_observed(
-                    &mut routing,
-                    arch,
-                    netlist,
-                    &placement,
-                    &self.config.router,
-                    self.config.final_repair_passes,
-                    obs,
-                )
-            });
-            if obs.enabled() {
-                obs.add("route.detail_failures", repair.detail_failures as u64);
-                obs.emit(Event::Reroute {
-                    scope: "final_repair".into(),
-                    stats: RerouteRecord {
-                        globally_routed: repair.globally_routed,
-                        detail_routed: repair.detail_routed,
-                        detail_failures: repair.detail_failures,
-                    },
-                });
-            }
-        }
-
-        let sta = obs.span("final_sta", || {
-            Sta::analyze_observed(arch, netlist, &placement, &routing, obs)
-                .map_err(LayoutError::CombLoop)
-        })?;
-        let critical_path = sta.critical_path(netlist);
-        let best = &outcome.replicas[outcome.best_replica].outcome;
-        let result = LayoutResult {
-            fully_routed: routing.is_fully_routed(),
-            globally_unrouted: routing.globally_unrouted(),
-            incomplete: routing.incomplete(),
-            worst_delay: sta.worst_delay(),
-            critical_path,
-            dynamics,
-            temperatures: best.temperatures,
+        Ok(Annealed {
+            problem,
+            stop_reason: decided.into_inner().unwrap_or(StopReason::Converged),
+            best: None,
+            temperatures: outcome.replicas[outcome.best_replica].outcome.temperatures,
             total_moves: outcome.replicas.iter().map(|r| r.outcome.total_moves).sum(),
-            runtime: start.elapsed(),
-            stop_reason: StopReason::Converged,
             repairs: 0,
-            placement,
-            routing,
-        };
-        if obs.enabled() {
-            obs.emit(Event::Stop {
-                reason: result.stop_reason.to_string(),
-                temps: result.temperatures,
-                repairs: 0,
-            });
-            let metrics = obs
-                .with_session(|s| s.metrics.to_json())
-                .unwrap_or(Json::Null);
-            obs.emit(Event::RunEnd {
-                cost: final_cost,
-                worst_delay: result.worst_delay,
-                unrouted: result.incomplete,
-                total_moves: result.total_moves,
-                temperatures: result.temperatures,
-                runtime_sec: result.runtime.as_secs_f64(),
-                metrics,
-            });
-            obs.flush();
-        }
-        Ok(result)
+            anneal_seed: replica_seed(anneal_cfg.seed, outcome.best_replica),
+        })
+    }
+
+    /// Same as [`SimultaneousPlaceRoute::run_observed`], which honours
+    /// [`SimPrConfig::threads`] itself; kept for existing callers.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimultaneousPlaceRoute::run_with_stop`].
+    pub fn run_parallel(
+        &self,
+        arch: &Architecture,
+        netlist: &Netlist,
+        label: &str,
+        obs: &Obs,
+    ) -> Result<LayoutResult, LayoutError> {
+        self.run_observed(arch, netlist, label, obs)
     }
 
     /// Bounded repair after a failed audit: a timing-only divergence gets
@@ -1193,6 +1192,92 @@ mod tests {
         verify_routing(&a.routing, &arch, &nl, &a.placement).unwrap();
         let sta = Sta::analyze(&arch, &nl, &a.placement, &a.routing).unwrap();
         assert_eq!(sta.worst_delay(), a.worst_delay);
+    }
+
+    #[test]
+    fn parallel_temp_budget_stops_every_replica_at_the_first_exchange() {
+        let (arch, nl) = fixture();
+        let mut cfg = SimPrConfig::fast().with_seed(5);
+        cfg.threads = 2;
+        cfg.resilience.temp_budget = Some(4);
+        let tool = SimultaneousPlaceRoute::new(cfg);
+        let run = || {
+            tool.run_parallel(&arch, &nl, "design", &Obs::disabled())
+                .unwrap()
+        };
+        let a = run();
+        assert_eq!(a.stop_reason, StopReason::Deadline);
+        assert_eq!(a.temperatures, ParallelConfig::default().exchange_every);
+        let b = run();
+        assert_eq!(a.worst_delay.to_bits(), b.worst_delay.to_bits());
+        assert_eq!(a.total_moves, b.total_moves);
+        assert_eq!(a.routing.occupancy_digest(), b.routing.occupancy_digest());
+        verify_routing(&a.routing, &arch, &nl, &a.placement).unwrap();
+        let sta = Sta::analyze(&arch, &nl, &a.placement, &a.routing).unwrap();
+        assert_eq!(sta.worst_delay(), a.worst_delay);
+    }
+
+    #[test]
+    fn parallel_run_honours_a_stop_flag() {
+        let (arch, nl) = fixture();
+        let mut cfg = SimPrConfig::fast();
+        cfg.threads = 2;
+        let stop = StopFlag::manual();
+        stop.request_stop();
+        let result = SimultaneousPlaceRoute::new(cfg)
+            .run_with_stop(&arch, &nl, "fixture", &Obs::disabled(), &stop)
+            .unwrap();
+        assert_eq!(result.stop_reason, StopReason::Interrupted);
+        // The stop is read at the first exchange round, which completes.
+        assert_eq!(
+            result.temperatures,
+            ParallelConfig::default().exchange_every
+        );
+        verify_routing(&result.routing, &arch, &nl, &result.placement).unwrap();
+    }
+
+    #[test]
+    fn parallel_run_rejects_checkpoints_resume_and_audits() {
+        let (arch, nl) = fixture();
+        let ckpt = temp_file("rowfpga_engine_parallel_rejects.json");
+        remove_checkpoint_family(&ckpt);
+        let path = || Some(ckpt.clone());
+        let cases = [
+            (
+                "checkpoint_path",
+                ResilienceConfig {
+                    checkpoint_path: path(),
+                    ..ResilienceConfig::default()
+                },
+            ),
+            (
+                "resume_path",
+                ResilienceConfig {
+                    resume_path: path(),
+                    ..ResilienceConfig::default()
+                },
+            ),
+            (
+                "audit_every",
+                ResilienceConfig {
+                    audit_every: 1,
+                    ..ResilienceConfig::default()
+                },
+            ),
+        ];
+        for (setting, resilience) in cases {
+            let cfg = SimPrConfig {
+                threads: 2,
+                resilience,
+                ..SimPrConfig::fast()
+            };
+            let err = SimultaneousPlaceRoute::new(cfg)
+                .run(&arch, &nl)
+                .unwrap_err();
+            assert_eq!(err, LayoutError::Unsupported { setting });
+            assert!(!ckpt.exists(), "{setting}: no checkpoint may be written");
+            assert!(crate::snapshot::list_generations(&ckpt).is_empty());
+        }
     }
 
     #[test]

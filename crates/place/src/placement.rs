@@ -71,6 +71,34 @@ pub struct Placement {
 }
 
 impl Placement {
+    /// Checks that the chip has a site of the right kind for every cell,
+    /// without building a placement.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CreatePlacementError::NotEnoughSites`] for the first kind
+    /// (I/O, then logic) that runs out.
+    pub fn check_fits(arch: &Architecture, netlist: &Netlist) -> Result<(), CreatePlacementError> {
+        let fits = |kind: SiteKind| {
+            let needed = netlist
+                .cells()
+                .filter(|(_, cell)| cell.kind().is_io() == (kind == SiteKind::Io))
+                .count();
+            let available = arch.geometry().sites_of_kind(kind).count();
+            if needed > available {
+                Err(CreatePlacementError::NotEnoughSites {
+                    kind,
+                    needed,
+                    available,
+                })
+            } else {
+                Ok(())
+            }
+        };
+        fits(SiteKind::Io)?;
+        fits(SiteKind::Logic)
+    }
+
     /// Creates a uniformly random legal placement with default (index 0)
     /// pinmaps, deterministic in `seed`.
     ///
@@ -83,6 +111,7 @@ impl Placement {
         netlist: &Netlist,
         seed: u64,
     ) -> Result<Placement, CreatePlacementError> {
+        Self::check_fits(arch, netlist)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let geom = arch.geometry();
 
@@ -100,20 +129,6 @@ impl Placement {
             .sites_of_kind(SiteKind::Logic)
             .map(|s| s.id())
             .collect();
-        if io_cells.len() > io_sites.len() {
-            return Err(CreatePlacementError::NotEnoughSites {
-                kind: SiteKind::Io,
-                needed: io_cells.len(),
-                available: io_sites.len(),
-            });
-        }
-        if logic_cells.len() > logic_sites.len() {
-            return Err(CreatePlacementError::NotEnoughSites {
-                kind: SiteKind::Logic,
-                needed: logic_cells.len(),
-                available: logic_sites.len(),
-            });
-        }
         io_sites.shuffle(&mut rng);
         logic_sites.shuffle(&mut rng);
 

@@ -212,15 +212,15 @@ pub mod rngs {
     impl RngCore for StdRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {
-            let s = &mut self.s;
-            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-            let t = s[1] << 17;
-            s[2] ^= s[0];
-            s[3] ^= s[1];
-            s[1] ^= s[2];
-            s[0] ^= s[3];
-            s[2] ^= t;
-            s[3] = s[3].rotate_left(45);
+            let [s0, s1, s2, s3] = &mut self.s;
+            let result = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
+            let t = *s1 << 17;
+            *s2 ^= *s0;
+            *s3 ^= *s1;
+            *s1 ^= *s2;
+            *s0 ^= *s3;
+            *s2 ^= t;
+            *s3 = s3.rotate_left(45);
             result
         }
     }

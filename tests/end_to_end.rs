@@ -94,21 +94,28 @@ fn both_flows_share_the_layout_result_interface() {
 /// of the reported worst delay, the temperature count and the total moves.
 type Fingerprint = (u64, u64, usize, usize);
 
-fn fingerprint(netlist: &rowfpga::netlist::Netlist, seed: u64, threads: usize) -> Fingerprint {
-    let arch = size_architecture(netlist, &SizingConfig::default()).unwrap();
-    let cfg = SimPrConfig {
-        threads,
-        ..SimPrConfig::fast().with_seed(seed)
-    };
-    let r = SimultaneousPlaceRoute::new(cfg)
-        .run_parallel(&arch, netlist, "fingerprint", &rowfpga_obs::Obs::disabled())
-        .unwrap();
+fn fingerprint_of(r: &rowfpga::core::LayoutResult) -> Fingerprint {
     (
         r.routing.occupancy_digest(),
         r.worst_delay.to_bits(),
         r.temperatures,
         r.total_moves,
     )
+}
+
+fn driver(seed: u64, threads: usize) -> SimultaneousPlaceRoute {
+    SimultaneousPlaceRoute::new(SimPrConfig {
+        threads,
+        ..SimPrConfig::fast().with_seed(seed)
+    })
+}
+
+fn fingerprint(netlist: &rowfpga::netlist::Netlist, seed: u64, threads: usize) -> Fingerprint {
+    let arch = size_architecture(netlist, &SizingConfig::default()).unwrap();
+    let r = driver(seed, threads)
+        .run_observed(&arch, netlist, "fingerprint", &rowfpga_obs::Obs::disabled())
+        .unwrap();
+    fingerprint_of(&r)
 }
 
 #[test]
@@ -132,4 +139,10 @@ fn layouts_are_bit_identical_to_the_recorded_fingerprints() {
         (17429921106684468387, 4679212087991378903, 27, 18730),
     ];
     assert_eq!(got, expected);
+    // `run_parallel` is the same driver under its older name.
+    let arch = size_architecture(&small, &SizingConfig::default()).unwrap();
+    let forwarded = driver(4, 2)
+        .run_parallel(&arch, &small, "fingerprint", &rowfpga_obs::Obs::disabled())
+        .unwrap();
+    assert_eq!(fingerprint_of(&forwarded), expected[3]);
 }

@@ -26,9 +26,13 @@
 //! overwriting anything and exits non-zero if, for any (design, threads)
 //! pair present in both, the fresh run's move throughput
 //! (`total_moves / wall_sec`) regressed by more than 20 %, or a design
-//! that was fully routed no longer is. Rows are only compared when the
-//! annealing profiles match (`--quick` vs full), so pointing the quick
-//! smoke at a full-run artifact skips the gate instead of flagging noise.
+//! that was fully routed no longer is. Layouts are deterministic in the
+//! seed, so when the committed artifact was recorded at the same seed the
+//! gate also fails if a row's `worst_delay_ps`, `temperatures` or
+//! `total_moves` differs from the committed value at all. Rows are only
+//! compared when the annealing profiles match (`--quick` vs full), so
+//! pointing the quick smoke at a full-run artifact skips the gate instead
+//! of flagging noise.
 
 use std::time::Instant;
 
@@ -189,6 +193,7 @@ fn main() {
             );
             return;
         }
+        let same_seed = base.get("seed").and_then(Json::as_u64) == Some(seed);
         let empty: Vec<Json> = Vec::new();
         let base_runs = base.get("runs").and_then(Json::as_arr).unwrap_or(&empty);
         let mut failed = false;
@@ -199,6 +204,23 @@ fn main() {
             }) else {
                 continue;
             };
+            let tag = format!("{} threads={}", row.design, row.threads);
+            let outcome = [
+                ("worst_delay_ps", row.worst_delay_ps),
+                ("temperatures", row.temperatures as f64),
+                ("total_moves", row.total_moves as f64),
+            ];
+            for (field, fresh) in outcome.into_iter().filter(|_| same_seed) {
+                let committed = b.get(field).and_then(Json::as_f64);
+                if committed.map(f64::to_bits) != Some(fresh.to_bits()) {
+                    let committed = committed.map_or("missing".into(), |c| c.to_string());
+                    eprintln!(
+                        "FAIL: e2e {tag}: {field} {fresh} differs from committed {committed} \
+                         at seed {seed}"
+                    );
+                    failed = true;
+                }
+            }
             let committed = match (
                 b.get("total_moves").and_then(Json::as_f64),
                 b.get("wall_sec").and_then(Json::as_f64),
@@ -208,7 +230,6 @@ fn main() {
             };
             let fresh = row.total_moves as f64 / row.wall_sec;
             let floor = committed * 0.8;
-            let tag = format!("{} threads={}", row.design, row.threads);
             if fresh < floor {
                 eprintln!(
                     "FAIL: e2e {tag}: {fresh:.0} moves/sec regressed >20% vs committed \

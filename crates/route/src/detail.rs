@@ -10,6 +10,8 @@
 //! segment count puts horizontal antifuses — and therefore delay — on the
 //! path. Minimizing both constructively prefers short, fast embeddings, in
 //! lieu of any explicit wirelength term in the annealer's cost function.
+//! The search reads the routing state's per-(channel, column) busy-track
+//! masks, so it scores only the tracks that are free over the whole span.
 
 #[cfg(test)]
 use rowfpga_arch::HSegId;
@@ -35,8 +37,10 @@ pub struct DetailPassStats {
 /// The channel work list and per-channel queue live in the state's
 /// persistent scratch buffers, and the winning run is materialized exactly
 /// once into a pooled segment vector, so a steady-state pass allocates
-/// nothing. Channel processing order is irrelevant to the outcome:
-/// horizontal resources are disjoint between channels.
+/// nothing. A doomed attempt costs one OR-reduction of the span's
+/// busy-track masks, so failures are simply retried. Channel processing
+/// order is irrelevant to the outcome: horizontal resources are disjoint
+/// between channels.
 pub fn detail_route_pass(
     state: &mut RoutingState,
     arch: &Architecture,
@@ -49,16 +53,6 @@ pub fn detail_route_pass(
     channels.extend(state.dirty_channels());
     let mut queue = std::mem::take(&mut state.scratch.dqueue);
     for &channel in &channels {
-        // Retry skip: if the channel's horizontal occupancy and `U_D`
-        // membership are unchanged since a pass that left failures here,
-        // every queued attempt is doomed to fail identically — count the
-        // failures without re-scanning the tracks. Failed attempts have no
-        // side effects, so the skip is exact (bit-identical results).
-        let key = state.detail_retry_key(channel);
-        if state.detail_attempt(channel) == key {
-            failures += state.ud_len(channel);
-            continue;
-        }
         // Longest spans first: they have the fewest feasible tracks.
         queue.clear();
         // A queued net always has a span in its channel; if that invariant
@@ -69,18 +63,8 @@ pub fn detail_route_pass(
             Some((n, lo as u32, hi as u32))
         }));
         queue.sort_by(|a, b| (b.2 - b.1).cmp(&(a.2 - a.1)).then(a.0.cmp(&b.0)));
-
-        let mut failed_here = false;
         for &(net, lo, hi) in &queue {
             let (lo, hi) = (lo as usize, hi as usize);
-            // Pair-level retry skip: the channel changed since its last
-            // recorded pass, but this particular span may still be
-            // untouched — then its last failure is guaranteed to repeat.
-            if state.detail_retry_doomed(net, channel, lo, hi) {
-                failures += 1;
-                failed_here = true;
-                continue;
-            }
             if let Some((t, i, j)) = find_track_run_idx(state, arch, channel, lo, hi, cfg) {
                 let mut run = state.take_run();
                 run.extend(
@@ -92,12 +76,7 @@ pub fn detail_route_pass(
                 routed += 1;
             } else {
                 failures += 1;
-                failed_here = true;
-                state.record_detail_failure(net, channel);
             }
-        }
-        if failed_here {
-            state.record_detail_attempt(channel);
         }
     }
     state.scratch.channels = channels;
@@ -109,6 +88,11 @@ pub fn detail_route_pass(
 /// `channel` covering columns `lo..=hi`, returned as `(track index, first
 /// segment index, last segment index)` so the caller materializes segment
 /// ids exactly once — or `None` if every track is blocked.
+///
+/// The span's busy-track masks are ORed word by word and only the free
+/// tracks are scored, in ascending track order with the all-track scan's
+/// cost and tie rule; a busy track could never have become the incumbent,
+/// so the pick is exactly the scan's.
 pub(crate) fn find_track_run_idx(
     state: &RoutingState,
     arch: &Architecture,
@@ -118,37 +102,41 @@ pub(crate) fn find_track_run_idx(
     cfg: &RouterConfig,
 ) -> Option<(usize, usize, usize)> {
     debug_assert!(lo <= hi);
+    let tracks = arch.channel_tracks(channel);
     let mut best: Option<(f64, usize, (usize, usize, usize))> = None;
-    for (t, track) in arch.channel_tracks(channel).iter().enumerate() {
-        let Some(i) = track.segment_at(ColId::new(lo)) else {
-            continue;
-        };
-        let Some(j) = track.segment_at(ColId::new(hi)) else {
-            continue;
-        };
-        let segs = &track.segments()[i..=j];
-        // Cost depends on the segmentation alone, not on occupancy, and is
-        // much cheaper than the ownership scan — so score first and only
-        // probe occupancy for tracks that would actually displace the
-        // incumbent. (Segments of a run are contiguous, so the covered
-        // width is just the outer boundary difference.)
-        let covered = segs[segs.len() - 1].end() - segs[0].start();
-        let wastage = covered - (hi - lo + 1);
-        let count = j - i + 1;
-        let cost = cfg.wastage_weight * wastage as f64 + cfg.segment_weight * count as f64;
-        let better = match &best {
-            None => true,
-            Some((bc, bcount, _)) => {
-                cost < *bc - 1e-12 || ((cost - *bc).abs() <= 1e-12 && count < *bcount)
+    for word in 0..tracks.len().div_ceil(64) {
+        let mut free = !state.busy_tracks(channel, lo, hi, word);
+        let width = tracks.len() - word * 64;
+        if width < 64 {
+            free &= (1u64 << width) - 1;
+        }
+        while free != 0 {
+            let t = word * 64 + free.trailing_zeros() as usize;
+            free &= free - 1;
+            let track = &tracks[t];
+            let (Some(i), Some(j)) = (
+                track.segment_at(ColId::new(lo)),
+                track.segment_at(ColId::new(hi)),
+            ) else {
+                continue;
+            };
+            let segs = &track.segments()[i..=j];
+            // Segments of a run are contiguous, so the covered width is
+            // just the outer boundary difference.
+            let covered = segs[segs.len() - 1].end() - segs[0].start();
+            let wastage = covered - (hi - lo + 1);
+            let count = j - i + 1;
+            let cost = cfg.wastage_weight * wastage as f64 + cfg.segment_weight * count as f64;
+            let better = match &best {
+                None => true,
+                Some((bc, bcount, _)) => {
+                    cost < *bc - 1e-12 || ((cost - *bc).abs() <= 1e-12 && count < *bcount)
+                }
+            };
+            if better {
+                best = Some((cost, count, (t, i, j)));
             }
-        };
-        if !better {
-            continue;
         }
-        if segs.iter().any(|s| state.hseg_owner(s.id()).is_some()) {
-            continue;
-        }
-        best = Some((cost, count, (t, i, j)));
     }
     best.map(|(_, _, run)| run)
 }
@@ -175,8 +163,10 @@ pub(crate) fn find_track_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rowfpga_arch::SegmentationScheme;
-    use rowfpga_netlist::{generate, GenerateConfig, Netlist};
+    use rowfpga_netlist::{generate, GenerateConfig, NetId, Netlist};
     use rowfpga_place::Placement;
 
     use crate::global::global_route_pass;
@@ -329,5 +319,159 @@ mod tests {
             .map(|c| st2.ud(ChannelId::new(c)).count())
             .sum();
         assert!(queued > 0);
+    }
+
+    /// The all-track scan the busy masks replace: every track is scored,
+    /// and only a track that would displace the incumbent is probed
+    /// segment by segment for occupancy.
+    fn scan_track_run_idx(
+        state: &RoutingState,
+        arch: &Architecture,
+        channel: ChannelId,
+        lo: usize,
+        hi: usize,
+        cfg: &RouterConfig,
+    ) -> Option<(usize, usize, usize)> {
+        let mut best: Option<(f64, usize, (usize, usize, usize))> = None;
+        for (t, track) in arch.channel_tracks(channel).iter().enumerate() {
+            let Some(i) = track.segment_at(ColId::new(lo)) else {
+                continue;
+            };
+            let Some(j) = track.segment_at(ColId::new(hi)) else {
+                continue;
+            };
+            let segs = &track.segments()[i..=j];
+            let covered = segs[segs.len() - 1].end() - segs[0].start();
+            let wastage = covered - (hi - lo + 1);
+            let count = j - i + 1;
+            let cost = cfg.wastage_weight * wastage as f64 + cfg.segment_weight * count as f64;
+            let better = match &best {
+                None => true,
+                Some((bc, bcount, _)) => {
+                    cost < *bc - 1e-12 || ((cost - *bc).abs() <= 1e-12 && count < *bcount)
+                }
+            };
+            if !better {
+                continue;
+            }
+            if segs.iter().any(|s| state.hseg_owner(s.id()).is_some()) {
+                continue;
+            }
+            best = Some((cost, count, (t, i, j)));
+        }
+        best.map(|(_, _, run)| run)
+    }
+
+    /// Asserts the masked pick equals the scan's for every channel, span
+    /// and weighting; returns how many picks landed on a track >= 64.
+    fn assert_picks_match_scan(arch: &Architecture, st: &RoutingState, step: usize) -> usize {
+        let cols = arch.geometry().num_cols();
+        let mut high = 0;
+        for cfg in [RouterConfig::default(), RouterConfig::wirability_only()] {
+            for c in 0..arch.geometry().num_channels() {
+                let channel = ChannelId::new(c);
+                for lo in 0..cols {
+                    for hi in lo..cols {
+                        let pick = find_track_run_idx(st, arch, channel, lo, hi, &cfg);
+                        assert_eq!(
+                            pick,
+                            scan_track_run_idx(st, arch, channel, lo, hi, &cfg),
+                            "channel {c} span {lo}..={hi}, step {step}"
+                        );
+                        high += usize::from(pick.is_some_and(|(t, _, _)| t >= 64));
+                    }
+                }
+            }
+        }
+        high
+    }
+
+    /// Rips `net` up and routes it straight onto segments `i..=j` of track
+    /// `t` of `channel` if they are all free: a claim that bypasses the
+    /// router's cost function, so occupancy reaches every track.
+    fn claim_run(
+        st: &mut RoutingState,
+        arch: &Architecture,
+        net: NetId,
+        channel: ChannelId,
+        (t, i, j): (usize, usize, usize),
+    ) {
+        st.rip_up(net);
+        let segs = &arch.channel_tracks(channel)[t].segments()[i..=j];
+        if segs.iter().any(|s| st.hseg_owner(s.id()).is_some()) {
+            return;
+        }
+        let (lo, hi) = (segs[0].start(), segs[segs.len() - 1].end() - 1);
+        let mut shell = st.take_shell();
+        shell.spans = vec![(channel, lo as u32, hi as u32)];
+        shell.pending_channels = vec![channel];
+        shell.globally_routed = true;
+        st.set_global(net, shell);
+        st.set_channel_routed(net, channel, segs.iter().map(|s| s.id()).collect());
+    }
+
+    #[test]
+    fn masked_pick_matches_the_all_track_scan_under_random_edits() {
+        let nl = generate(&GenerateConfig {
+            num_cells: 400,
+            num_inputs: 8,
+            num_outputs: 8,
+            num_seq: 8,
+            ..GenerateConfig::default()
+        });
+        // One mask word, then two with the second only partly used.
+        for tracks in [24, 100] {
+            let arch = Architecture::builder()
+                .rows(2)
+                .cols(10)
+                .io_columns(1)
+                .tracks_per_channel(tracks)
+                .segmentation(SegmentationScheme::Uniform { len: 3 })
+                .build()
+                .unwrap();
+            let channels = arch.geometry().num_channels();
+            let mut rng = StdRng::seed_from_u64(tracks as u64);
+            let mut st = RoutingState::new(&arch, &nl);
+            // Fill the first 64 tracks of channel 0, so picks there must
+            // reach past the first mask word until edits free them.
+            let chan0 = ChannelId::new(0);
+            for t in 0..tracks.min(64) {
+                let n = arch.channel_tracks(chan0)[t].segments().len();
+                claim_run(&mut st, &arch, NetId::new(t), chan0, (t, 0, n - 1));
+            }
+            let mut high = 0;
+            for step in 1..=60 {
+                let txn = rng.gen_bool(0.6);
+                if txn {
+                    st.begin_txn();
+                }
+                for _ in 0..rng.gen_range(1..=24usize) {
+                    let net = NetId::new(rng.gen_range(0..nl.num_nets()));
+                    if rng.gen_bool(0.2) {
+                        st.rip_up(net);
+                        continue;
+                    }
+                    let channel = ChannelId::new(rng.gen_range(0..channels));
+                    let t = rng.gen_range(0..tracks);
+                    let n = arch.channel_tracks(channel)[t].segments().len();
+                    let i = rng.gen_range(0..n);
+                    let j = (i + rng.gen_range(0..3usize)).min(n - 1);
+                    claim_run(&mut st, &arch, net, channel, (t, i, j));
+                }
+                high += assert_picks_match_scan(&arch, &st, step);
+                if txn {
+                    if rng.gen_bool(0.5) {
+                        st.commit();
+                    } else {
+                        st.rollback();
+                    }
+                    high += assert_picks_match_scan(&arch, &st, step);
+                }
+            }
+            let restored = RoutingState::restore(&arch, &nl, &st.export_routes()).unwrap();
+            assert_eq!(restored.occupancy_digest(), st.occupancy_digest());
+            assert_picks_match_scan(&arch, &restored, usize::MAX);
+            assert_eq!(high > 0, tracks > 64, "picks on tracks >= 64");
+        }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! [`verify_routing`] re-derives every net's geometric requirements from the
 //! placement and checks the routing state against them from first
-//! principles: exclusive segment ownership, single-track consecutive runs
+//! principles: exclusive segment ownership (and busy-track masks that
+//! agree with it), single-track consecutive runs
 //! covering every span, vertical chains that actually reach every pin
 //! channel, and queue bookkeeping consistent with the route records. The
 //! layout engines never call this in their inner loops — it exists so tests
@@ -12,7 +13,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use rowfpga_arch::Architecture;
+use rowfpga_arch::{Architecture, ChannelId, ColId};
 use rowfpga_netlist::{NetId, Netlist};
 use rowfpga_place::Placement;
 
@@ -298,6 +299,33 @@ pub fn verify_routing(
             });
         }
     }
+    // Busy-track masks agree with the owner array.
+    for c in 0..arch.geometry().num_channels() {
+        let chan = ChannelId::new(c);
+        let tracks = arch.channel_tracks(chan);
+        for col in 0..arch.geometry().num_cols() {
+            for word in 0..tracks.len().div_ceil(64) {
+                let derived = tracks.iter().enumerate().skip(word * 64).take(64).fold(
+                    0u64,
+                    |mask, (t, track)| {
+                        let owned = track
+                            .segment_at(ColId::new(col))
+                            .is_some_and(|i| state.hseg_owner(track.segments()[i].id()).is_some());
+                        mask | u64::from(owned) << (t % 64)
+                    },
+                );
+                let recorded = state.busy_tracks(chan, col, col, word);
+                if recorded != derived {
+                    return Err(RouteVerifyError::OwnershipMismatch {
+                        detail: format!(
+                            "busy mask of {chan} column {col} word {word} is {recorded:#x}, \
+                             owner array gives {derived:#x}"
+                        ),
+                    });
+                }
+            }
+        }
+    }
 
     // Counters and queues.
     if state.incomplete() != incomplete {
@@ -406,6 +434,21 @@ mod tests {
             }
         }
         assert!(detected, "no stale route detected across many swaps");
+    }
+
+    #[test]
+    fn drifted_busy_mask_is_detected() {
+        let (arch, nl, p, mut st) = setup(24);
+        route_batch(&mut st, &arch, &nl, &p, &RouterConfig::default(), 8);
+        let chan = ChannelId::new(1);
+        st.flip_busy_bit(chan, 3, 5);
+        let err = verify_routing(&st, &arch, &nl, &p).unwrap_err();
+        assert!(
+            matches!(&err, RouteVerifyError::OwnershipMismatch { detail } if detail.contains("busy mask")),
+            "{err}"
+        );
+        st.flip_busy_bit(chan, 3, 5);
+        verify_routing(&st, &arch, &nl, &p).unwrap();
     }
 
     #[test]

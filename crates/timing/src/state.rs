@@ -1,15 +1,16 @@
 // rowfpga-lint: hot-path
 //! The incremental worst-case delay engine (paper §3.5, Figure 5).
 //!
-//! Cells are levelized once (levels depend only on connectivity). After a
-//! move reroutes a set of nets, their interconnect delays are recomputed
-//! and the change is propagated to the path boundaries through a *frontier*
-//! of affected cells, processed level by level from per-level buckets: a
-//! cell's output arrival is refreshed from its inputs, and only if it
-//! changed are its fanout cells queued. Combinational levels are strict
-//! (every fanout sits at a higher level than its driver), so a cell is
-//! refreshed only after all its drivers and the order within a level
-//! cannot change any value. Expansion stops when the buckets empty.
+//! Cells are levelized once (levels depend only on connectivity), which
+//! fixes a topological order of the combinational cells. After a move
+//! reroutes a set of nets, their interconnect delays are recomputed and the
+//! change is propagated to the path boundaries through a *frontier* of
+//! affected cells: a dirty bitset indexed by each cell's position in that
+//! order, swept word by word in ascending order. A cell's output arrival is
+//! refreshed from its inputs, and only if it changed are its fanout cells
+//! marked. Every fanout sits at a later position than its driver, so the
+//! sweep refreshes each cell once, after all its drivers, and stops at the
+//! last dirty word.
 //!
 //! Net delays live in one flat arena with per-net offsets, read through
 //! precomputed fanin and fanout CSR tables. All mutations are journaled
@@ -65,7 +66,9 @@ struct CellTables {
     net_start: Vec<u32>,
     intrinsic: Vec<f64>,
     endpoint_intrinsic: Vec<f64>,
-    level: Vec<u32>,
+    /// A combinational cell's position in [`Levels::order`]: its bit in
+    /// the frontier's dirty set.
+    pos: Vec<u32>,
     sink_class: Vec<u8>,
 }
 
@@ -88,9 +91,12 @@ impl CellTables {
             net_start,
             intrinsic: Vec::with_capacity(n),
             endpoint_intrinsic: Vec::with_capacity(n),
-            level: Vec::with_capacity(n),
+            pos: vec![0; n],
             sink_class: Vec::with_capacity(n),
         };
+        for (p, cell) in levels.order().iter().enumerate() {
+            t.pos[cell.index()] = p as u32;
+        }
         for (id, cell) in netlist.cells() {
             let kind = cell.kind();
             t.fanin_start.push(t.fanin_edges.len() as u32);
@@ -126,7 +132,6 @@ impl CellTables {
             t.intrinsic.push(cell_intrinsic_delay(arch, kind));
             t.endpoint_intrinsic
                 .push(endpoint_intrinsic_delay(arch, kind));
-            t.level.push(levels.level(id));
             t.sink_class.push(if kind.is_boundary() {
                 if is_endpoint(kind) {
                     SINK_ENDPOINT
@@ -174,15 +179,14 @@ struct UndoLog {
     worst: Option<f64>,
 }
 
-/// Reusable buffers for [`TimingState::update_nets`]: one frontier bucket
-/// per level (always drained, so their allocations persist), epoch-stamped
-/// queued/dirty marks (no per-call clearing) and the Elmore evaluation
+/// Reusable buffers for [`TimingState::update_nets`]: the frontier's dirty
+/// bitset over [`Levels::order`] positions (always swept clean), epoch-
+/// stamped endpoint marks (no per-call clearing) and the Elmore evaluation
 /// scratch.
 #[derive(Clone, Debug, Default)]
 struct UpdateScratch {
-    buckets: Vec<Vec<u32>>,
+    dirty: Vec<u64>,
     epoch: u64,
-    queued: Vec<u64>,
     endpoint_dirty: Vec<u64>,
     elmore: ElmoreScratch,
 }
@@ -230,8 +234,7 @@ impl TimingState {
         let mut state = TimingState {
             delays: vec![0.0; tables.fanout.len()],
             scratch: UpdateScratch {
-                buckets: vec![Vec::new(); levels.max_level() as usize + 1],
-                queued: vec![0; netlist.num_cells()],
+                dirty: vec![0; levels.order().len().div_ceil(64)],
                 endpoint_dirty: vec![0; netlist.num_cells()],
                 ..UpdateScratch::default()
             },
@@ -411,7 +414,7 @@ impl TimingState {
     }
 
     /// Recomputes the delays of `changed` nets and propagates arrivals to
-    /// the boundaries through the level-bucketed frontier. Returns the new
+    /// the boundaries through the dirty-position sweep. Returns the new
     /// worst delay.
     pub fn update_nets(
         &mut self,
@@ -431,7 +434,7 @@ impl TimingState {
         // its stamp equals this call's epoch, so nothing is ever cleared.
         self.scratch.epoch += 1;
         let epoch = self.scratch.epoch;
-        // The lowest and highest non-empty bucket levels.
+        // The lowest and highest dirty words.
         let mut span = (usize::MAX, 0);
 
         for &net in changed {
@@ -445,16 +448,17 @@ impl TimingState {
                 &mut self.scratch.elmore,
                 &mut self.delays[self.tables.net_range(net)],
             );
-            self.enqueue_fanout(netlist.net(net).driver().cell.index(), epoch, &mut span);
+            self.mark_fanout(netlist.net(net).driver().cell.index(), epoch, &mut span);
         }
 
-        // Fanout always sits at a strictly higher level, so refreshing a
-        // bucket only ever fills later ones and each cell is taken once.
-        let mut level = span.0;
-        while level <= span.1 {
-            let mut bucket = std::mem::take(&mut self.scratch.buckets[level]);
-            for &c in &bucket {
-                let cell = c as usize;
+        // Fanout always sits at a later position, so refreshing a cell only
+        // ever sets higher bits and each cell is taken once, lowest first.
+        let mut word = span.0;
+        while word <= span.1 {
+            while self.scratch.dirty[word] != 0 {
+                let bits = self.scratch.dirty[word];
+                self.scratch.dirty[word] = bits & (bits - 1);
+                let cell = self.levels.order()[word * 64 + bits.trailing_zeros() as usize].index();
                 self.last_frontier += 1;
                 let new_arr = self.worst_fanin(cell).unwrap_or(0.0) + self.tables.intrinsic[cell];
                 if (new_arr - self.arr[cell]).abs() <= EPS {
@@ -462,11 +466,9 @@ impl TimingState {
                 }
                 self.save_arr(cell);
                 self.arr[cell] = new_arr;
-                self.enqueue_fanout(cell, epoch, &mut span);
+                self.mark_fanout(cell, epoch, &mut span);
             }
-            bucket.clear();
-            self.scratch.buckets[level] = bucket;
-            level += 1;
+            word += 1;
         }
 
         for i in 0..self.endpoints.len() {
@@ -484,18 +486,17 @@ impl TimingState {
         self.worst
     }
 
-    /// Queues the not-yet-queued internal cells driven by cell index
-    /// `cell` into their level buckets (widening `span`, the non-empty
-    /// level range) and marks its endpoint sinks dirty.
-    fn enqueue_fanout(&mut self, cell: usize, epoch: u64, span: &mut (usize, usize)) {
+    /// Sets the dirty bits of the internal cells driven by cell index
+    /// `cell` (widening `span`, the dirty word range) and marks its
+    /// endpoint sinks dirty.
+    fn mark_fanout(&mut self, cell: usize, epoch: u64, span: &mut (usize, usize)) {
         for &s in &self.tables.fanout[csr_range(&self.tables.fanout_start, cell)] {
             let i = s as usize;
             match self.tables.sink_class[i] {
-                SINK_INTERNAL if self.scratch.queued[i] != epoch => {
-                    self.scratch.queued[i] = epoch;
-                    let level = self.tables.level[i] as usize;
-                    self.scratch.buckets[level].push(s);
-                    *span = (span.0.min(level), span.1.max(level));
+                SINK_INTERNAL => {
+                    let p = self.tables.pos[i] as usize;
+                    self.scratch.dirty[p / 64] |= 1 << (p % 64);
+                    *span = (span.0.min(p / 64), span.1.max(p / 64));
                 }
                 SINK_ENDPOINT => self.scratch.endpoint_dirty[i] = epoch,
                 _ => {}
@@ -578,16 +579,27 @@ mod tests {
     use rowfpga_route::{route_batch, RouterConfig};
 
     fn problem(seed: u64) -> (Architecture, Netlist, Placement, RoutingState) {
+        sized_problem(seed, 50, 6, 14)
+    }
+
+    /// A routed random layout of a `cells`-cell design on a `rows × cols`
+    /// chip.
+    fn sized_problem(
+        seed: u64,
+        cells: usize,
+        rows: usize,
+        cols: usize,
+    ) -> (Architecture, Netlist, Placement, RoutingState) {
         let nl = generate(&GenerateConfig {
-            num_cells: 50,
+            num_cells: cells,
             num_inputs: 6,
             num_outputs: 6,
             num_seq: 4,
             ..GenerateConfig::default()
         });
         let arch = Architecture::builder()
-            .rows(6)
-            .cols(14)
+            .rows(rows)
+            .cols(cols)
             .io_columns(2)
             .tracks_per_channel(24)
             .build()
@@ -613,7 +625,22 @@ mod tests {
 
     #[test]
     fn incremental_update_matches_full_reanalysis() {
-        let (arch, nl, mut p, mut st) = problem(5);
+        let (arch, nl, p, st) = problem(5);
+        assert_incremental_matches_full(arch, nl, p, st);
+        // More than 128 combinational cells: the dirty sweep crosses words.
+        let (arch, nl, p, st) = sized_problem(5, 200, 10, 24);
+        assert!(Levels::compute(&nl).unwrap().order().len() > 128);
+        assert_incremental_matches_full(arch, nl, p, st);
+    }
+
+    /// Swaps pairs of logic cells, reroutes and updates incrementally,
+    /// comparing each step to the bit with a from-scratch analysis.
+    fn assert_incremental_matches_full(
+        arch: Architecture,
+        nl: Netlist,
+        mut p: Placement,
+        mut st: RoutingState,
+    ) {
         let cfg = RouterConfig::default();
         let mut ts = TimingState::new(&arch, &nl, &p, &st).unwrap();
 
@@ -624,15 +651,16 @@ mod tests {
             .collect();
         for w in cells.windows(2).take(20) {
             // Move, rip up, reroute — then update incrementally and compare
-            // against a from-scratch analysis.
+            // against a from-scratch analysis. The changed nets are every
+            // route the move touched: on a congested chip the reroute can
+            // also complete nets queued by earlier moves.
             p.swap_sites(&arch, p.site_of(w[0]), p.site_of(w[1]));
-            let mut changed: Vec<NetId> = nl.nets_of_cell(w[0]).to_vec();
-            changed.extend_from_slice(nl.nets_of_cell(w[1]));
-            changed.sort_unstable();
-            changed.dedup();
+            st.begin_txn();
             st.rip_up_cell(&nl, w[0]);
             st.rip_up_cell(&nl, w[1]);
             st.route_incremental(&arch, &nl, &p, &cfg);
+            let changed: Vec<NetId> = st.touched_nets().to_vec();
+            st.commit();
             let worst = ts.update_nets(&arch, &nl, &p, &st, &changed);
 
             let oracle = TimingState::new(&arch, &nl, &p, &st).unwrap();

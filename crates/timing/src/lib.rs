@@ -17,9 +17,10 @@
 //!   layouts of both flows, including critical-path extraction;
 //! * the **incremental engine** ([`TimingState`]): cells are levelized once
 //!   (connectivity only), and after each move the changed nets' delays are
-//!   recomputed and propagated level by level through per-level buckets
-//!   of affected cells until they empty (paper §3.5 and Figure 5), over a
-//!   flat net-delay arena, with transactional undo for rejected moves.
+//!   recomputed and propagated in levelized order through a dirty bitset
+//!   of affected cells until it is swept clean (paper §3.5 and Figure 5),
+//!   over a flat net-delay arena, with transactional undo for rejected
+//!   moves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

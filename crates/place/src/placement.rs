@@ -9,7 +9,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use rowfpga_arch::{Architecture, SiteId, SiteKind};
-use rowfpga_netlist::{pinmap_palette, CellId, CellKind, Netlist, Pinmap};
+use rowfpga_netlist::{pinmap_palette, CellId, CellKind, Netlist, PinRef, Pinmap, PortSide};
 
 /// Errors raised while creating a [`Placement`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,6 +68,12 @@ pub struct Placement {
     pinmap_choice: Vec<u16>,
     /// Palette per cell kind, shared across cells of the same kind.
     palettes: BTreeMap<CellKind, Vec<Pinmap>>,
+    /// CSR offsets into `pin_sides`, one slice per cell.
+    pin_start: Vec<u32>,
+    /// Every cell's current pinmap sides, flat in pin order: the table
+    /// behind [`Placement::pin_side`], rewritten by
+    /// [`Placement::set_pinmap`].
+    pin_sides: Vec<PortSide>,
 }
 
 impl Placement {
@@ -143,19 +149,41 @@ impl Placement {
             cell_at[site.index()] = Some(*cell);
         }
 
-        let mut palettes = BTreeMap::new();
-        for (_, cell) in netlist.cells() {
-            palettes
-                .entry(cell.kind())
-                .or_insert_with(|| pinmap_palette(cell.kind()));
-        }
-
-        Ok(Placement {
+        Ok(Placement::assemble(
+            netlist,
             site_of,
             cell_at,
-            pinmap_choice: vec![0; netlist.num_cells()],
+            vec![0; netlist.num_cells()],
+            palettes(netlist),
+        ))
+    }
+
+    /// Completes a placement from its validated parts by building the
+    /// flat pin-side table: one pass over the cells, no per-cell
+    /// allocation.
+    fn assemble(
+        netlist: &Netlist,
+        site_of: Vec<SiteId>,
+        cell_at: Vec<Option<CellId>>,
+        pinmap_choice: Vec<u16>,
+        palettes: BTreeMap<CellKind, Vec<Pinmap>>,
+    ) -> Placement {
+        let mut pin_start = Vec::with_capacity(netlist.num_cells() + 1);
+        let mut pin_sides =
+            Vec::with_capacity(netlist.cells().map(|(_, c)| c.kind().num_pins()).sum());
+        for ((_, cell), &choice) in netlist.cells().zip(&pinmap_choice) {
+            pin_start.push(pin_sides.len() as u32);
+            pin_sides.extend_from_slice(palettes[&cell.kind()][choice as usize].sides());
+        }
+        pin_start.push(pin_sides.len() as u32);
+        Placement {
+            site_of,
+            cell_at,
+            pinmap_choice,
             palettes,
-        })
+            pin_start,
+            pin_sides,
+        }
     }
 
     /// Exports the cell→site assignment as bare site indices, in cell-id
@@ -196,12 +224,7 @@ impl Placement {
                 ),
             });
         }
-        let mut palettes = BTreeMap::new();
-        for (_, cell) in netlist.cells() {
-            palettes
-                .entry(cell.kind())
-                .or_insert_with(|| pinmap_palette(cell.kind()));
-        }
+        let palettes = palettes(netlist);
         let mut site_of = vec![SiteId::new(0); netlist.num_cells()];
         let mut cell_at: Vec<Option<CellId>> = vec![None; geom.num_sites()];
         for (id, cell) in netlist.cells() {
@@ -243,12 +266,13 @@ impl Placement {
             site_of[id.index()] = site;
             cell_at[s] = Some(id);
         }
-        Ok(Placement {
+        Ok(Placement::assemble(
+            netlist,
             site_of,
             cell_at,
-            pinmap_choice: pinmaps.to_vec(),
+            pinmaps.to_vec(),
             palettes,
-        })
+        ))
     }
 
     /// The site holding `cell`.
@@ -284,6 +308,19 @@ impl Placement {
         &self.palettes[&kind][self.pinmap_choice[cell.index()] as usize]
     }
 
+    /// The side `pin` currently faces: its cell's pinmap entry, read from
+    /// the flat pin-side table.
+    ///
+    /// `pin.pin` must be in range for its cell (as every [`PinRef`] the
+    /// netlist hands out is).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin.cell` is out of range.
+    pub(crate) fn pin_side(&self, pin: PinRef) -> PortSide {
+        self.pin_sides[self.pin_start[pin.cell.index()] as usize + pin.pin as usize]
+    }
+
     /// The pinmap palette of a cell kind.
     pub fn palette(&self, kind: CellKind) -> &[Pinmap] {
         &self.palettes[&kind]
@@ -296,11 +333,15 @@ impl Placement {
     /// Panics if `index` is out of range for the cell's palette.
     pub fn set_pinmap(&mut self, netlist: &Netlist, cell: CellId, index: u16) -> u16 {
         let kind = netlist.cell(cell).kind();
+        let pinmap = self.palettes.get(&kind).and_then(|p| p.get(index as usize));
         assert!(
-            (index as usize) < self.palettes[&kind].len(),
+            pinmap.is_some(),
             "pinmap index {index} out of range for {kind:?}"
         );
-        std::mem::replace(&mut self.pinmap_choice[cell.index()], index)
+        let c = cell.index();
+        let sides = &mut self.pin_sides[self.pin_start[c] as usize..self.pin_start[c + 1] as usize];
+        sides.copy_from_slice(pinmap.map_or(&[], Pinmap::sides));
+        std::mem::replace(&mut self.pinmap_choice[c], index)
     }
 
     /// Exchanges the occupants of two sites. Either site may be empty, so
@@ -318,16 +359,14 @@ impl Placement {
         }
         let geom = arch.geometry();
         let (ka, kb) = (geom.site(a).kind(), geom.site(b).kind());
-        let ca = self.cell_at[a.index()];
-        let cb = self.cell_at[b.index()];
+        let (ca, cb) = (self.cell_at[a.index()], self.cell_at[b.index()]);
         if ca.is_some() || cb.is_some() {
             assert_eq!(
                 ka, kb,
                 "cannot exchange occupied sites of different kinds ({ka:?} vs {kb:?})"
             );
         }
-        self.cell_at[a.index()] = cb;
-        self.cell_at[b.index()] = ca;
+        self.cell_at.swap(a.index(), b.index());
         if let Some(c) = ca {
             self.site_of[c.index()] = b;
         }
@@ -356,26 +395,35 @@ impl Placement {
         netlist: &Netlist,
     ) -> Result<(), String> {
         let geom = arch.geometry();
+        let n = netlist.num_cells();
+        let lens = (
+            self.site_of.len(),
+            self.pinmap_choice.len(),
+            self.pin_start.len(),
+        );
+        if lens != (n, n, n + 1) {
+            return Err(format!("per-cell tables sized {lens:?} for {n} cells"));
+        }
         // bijection
-        for (id, _) in netlist.cells() {
-            let site = self.site_of[id.index()];
-            if self.cell_at[site.index()] != Some(id) {
+        for ((id, _), &site) in netlist.cells().zip(&self.site_of) {
+            let occupant = self.cell_at.get(site.index()).copied().flatten();
+            if occupant != Some(id) {
                 return Err(format!(
-                    "cell {id} maps to site {site}, but the site records occupant {:?}",
-                    self.cell_at[site.index()]
+                    "cell {id} maps to site {site}, but the site records occupant {occupant:?}"
                 ));
             }
         }
         let occupied = self.cell_at.iter().flatten().count();
-        if occupied != netlist.num_cells() {
+        if occupied != n {
             return Err(format!(
-                "{occupied} sites record occupants but the netlist has {} cells",
-                netlist.num_cells()
+                "{occupied} sites record occupants but the netlist has {n} cells"
             ));
         }
-        // kind compatibility + pinmap validity
-        for (id, cell) in netlist.cells() {
-            let site = geom.site(self.site_of[id.index()]);
+        // kind compatibility + pinmap validity + the pin-side table
+        let starts = self.pin_start.iter().zip(self.pin_start.iter().skip(1));
+        let per_cell = self.site_of.iter().zip(&self.pinmap_choice).zip(starts);
+        for ((id, cell), ((&site, &choice), (&lo, &hi))) in netlist.cells().zip(per_cell) {
+            let site = geom.site(site);
             let want = if cell.kind().is_io() {
                 SiteKind::Io
             } else {
@@ -388,16 +436,34 @@ impl Placement {
                     site.kind()
                 ));
             }
-            let palette_len = self.palettes[&cell.kind()].len();
-            if self.pinmap_choice[id.index()] as usize >= palette_len {
+            let palette = self.palette(cell.kind());
+            let Some(pinmap) = palette.get(choice as usize) else {
                 return Err(format!(
-                    "cell {id} pinmap index {} out of palette (len {palette_len})",
-                    self.pinmap_choice[id.index()]
+                    "cell {id} pinmap index {choice} out of palette (len {})",
+                    palette.len()
+                ));
+            };
+            let table = self.pin_sides.get(lo as usize..hi as usize);
+            if table != Some(pinmap.sides()) {
+                return Err(format!(
+                    "cell {id} pin-side table {table:?} disagrees with pinmap {choice} {:?}",
+                    pinmap.sides()
                 ));
             }
         }
         Ok(())
     }
+}
+
+/// The pinmap palette of every cell kind in the design.
+fn palettes(netlist: &Netlist) -> BTreeMap<CellKind, Vec<Pinmap>> {
+    let mut palettes = BTreeMap::new();
+    for (_, cell) in netlist.cells() {
+        palettes
+            .entry(cell.kind())
+            .or_insert_with(|| pinmap_palette(cell.kind()));
+    }
+    palettes
 }
 
 #[cfg(test)]
@@ -558,6 +624,20 @@ mod tests {
         let mut wrong_kind = sites.clone();
         wrong_kind[io_cell.index()] = logic_site.index();
         assert!(bad(&wrong_kind, &pinmaps));
+    }
+
+    #[test]
+    fn drifted_pin_side_is_detected() {
+        let (arch, nl) = setup();
+        let mut p = Placement::random(&arch, &nl, 5).unwrap();
+        assert!(p.check_invariants(&arch, &nl));
+        let (cell, _) = nl.cells().find(|(_, c)| !c.kind().is_io()).unwrap();
+        let i = p.pin_start[cell.index()] as usize + 1;
+        p.pin_sides[i] = p.pin_sides[i].flipped();
+        let err = p.check_invariants_detailed(&arch, &nl).unwrap_err();
+        assert!(err.contains("pin-side table"), "{err}");
+        p.pin_sides[i] = p.pin_sides[i].flipped();
+        p.check_invariants_detailed(&arch, &nl).unwrap();
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub fn net_requirements_into(
     req.pin_channels.clear();
     let (mut col_min, mut col_max) = (usize::MAX, 0);
     for pin in netlist.net(net).pins() {
-        let l = pin_loc(arch, netlist, placement, pin);
+        let l = pin_loc(arch, placement, pin);
         let (c, col) = (l.channel.index(), l.col.index());
         col_min = col_min.min(col);
         col_max = col_max.max(col);
@@ -107,7 +107,7 @@ pub fn net_extents(
     let (mut chan_min, mut chan_max) = (usize::MAX, 0);
     let (mut col_min, mut col_max) = (usize::MAX, 0);
     for pin in netlist.net(net).pins() {
-        let l = pin_loc(arch, netlist, placement, pin);
+        let l = pin_loc(arch, placement, pin);
         chan_min = chan_min.min(l.channel.index());
         chan_max = chan_max.max(l.channel.index());
         col_min = col_min.min(l.col.index());

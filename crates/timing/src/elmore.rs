@@ -106,7 +106,7 @@ pub fn elmore_sink_delays_into(
     let Some(driver_pin) = netlist.net(net).pins().next() else {
         return false; // a driverless net has no delay tree
     };
-    let driver_loc = pin_loc(arch, netlist, placement, driver_pin);
+    let driver_loc = pin_loc(arch, placement, driver_pin);
 
     scratch.nodes.clear();
     scratch.idx.clear();
@@ -227,7 +227,7 @@ pub fn elmore_sink_delays_into(
 
     // 3. Sinks load their channel's run through a cross antifuse.
     for pin in netlist.net(net).pins().skip(1) {
-        let sink = pin_loc(arch, netlist, placement, pin);
+        let sink = pin_loc(arch, placement, pin);
         let Some(&(_, r_start)) = scratch.seg_ranges.iter().find(|(c, _)| *c == sink.channel)
         else {
             return false; // every sink channel carries a routed run

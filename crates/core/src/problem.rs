@@ -212,6 +212,7 @@ impl<'a> LayoutProblem<'a> {
     }
 
     /// Re-verifies the incremental state against ground truth: the
+    /// placement invariants (including the pin-side table), the
     /// routing invariants ([`verify_routing`]) and a from-scratch timing
     /// analysis compared to the incrementally tracked one (worst delay
     /// and every cell arrival, to 1e-6 ps).
@@ -222,6 +223,9 @@ impl<'a> LayoutProblem<'a> {
     ///
     /// [`verify_routing`]: rowfpga_route::verify_routing
     pub fn audit(&self) -> Result<(), String> {
+        self.placement
+            .check_invariants_detailed(self.arch, self.netlist)
+            .map_err(|e| format!("placement: {e}"))?;
         rowfpga_route::verify_routing(&self.routing, self.arch, self.netlist, &self.placement)
             .map_err(|e| format!("routing: {e}"))?;
         let oracle = TimingState::new(self.arch, self.netlist, &self.placement, &self.routing)
@@ -309,8 +313,8 @@ impl<'a> LayoutProblem<'a> {
             )
         });
         let changed = self.routing.touched_nets();
-        self.obs.span_quiet("sta.delay_update", || {
-            self.timing.update_nets(
+        self.obs.span_quiet("sta.net_delays", || {
+            self.timing.update_net_delays(
                 self.arch,
                 self.netlist,
                 &self.placement,
@@ -318,6 +322,8 @@ impl<'a> LayoutProblem<'a> {
                 changed,
             )
         });
+        self.obs
+            .span_quiet("sta.propagate", || self.timing.propagate());
         if self.obs.enabled() {
             self.obs.observe("move.nets_ripped", ripped as f64);
             self.obs

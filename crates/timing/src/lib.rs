@@ -16,10 +16,10 @@
 //! * a full **static timing analysis** ([`Sta`]) used to score finished
 //!   layouts of both flows, including critical-path extraction;
 //! * the **incremental engine** ([`TimingState`]): cells are levelized once
-//!   (connectivity only), and after each move the changed nets' delays are
-//!   recomputed and propagated in levelized order through a dirty bitset
-//!   of affected cells until it is swept clean (paper §3.5 and Figure 5),
-//!   over a flat net-delay arena, with transactional undo for rejected
+//!   and numbered as nodes in that order (boundaries last), so after each
+//!   move the changed nets' delays are recomputed and propagated through a
+//!   dirty bitset over nodes, swept in ascending order over node-indexed
+//!   tables (paper §3.5 and Figure 5), with transactional undo for rejected
 //!   moves.
 
 #![forbid(unsafe_code)]

@@ -2,15 +2,18 @@
 //! The incremental worst-case delay engine (paper §3.5, Figure 5).
 //!
 //! Cells are levelized once (levels depend only on connectivity), which
-//! fixes a topological order of the combinational cells. After a move
-//! reroutes a set of nets, their interconnect delays are recomputed and the
-//! change is propagated to the path boundaries through a *frontier* of
-//! affected cells: a dirty bitset indexed by each cell's position in that
-//! order, swept word by word in ascending order. A cell's output arrival is
-//! refreshed from its inputs, and only if it changed are its fanout cells
-//! marked. Every fanout sits at a later position than its driver, so the
-//! sweep refreshes each cell once, after all its drivers, and stops at the
-//! last dirty word.
+//! fixes a topological order of the combinational cells. Every per-cell
+//! table is indexed by *node*: the combinational cells take nodes `0..C`
+//! in that order, and all other cells follow in id order. A move's update
+//! runs in two steps. [`TimingState::update_net_delays`] recomputes the
+//! rerouted nets' interconnect delays and marks their sinks.
+//! [`TimingState::propagate`] then pushes the change to the path
+//! boundaries through a *frontier*: a dirty bitset over nodes `0..C`,
+//! swept word by word in ascending order, so arrivals, intrinsic delays and
+//! CSR slices are read in memory order. A node's arrival is refreshed from
+//! its inputs, and only if it changed are its fanout nodes marked. Every
+//! fanout sits at a later node than its driver, so the sweep refreshes each
+//! node once, after all its drivers, and stops at the last dirty word.
 //!
 //! Net delays live in one flat arena with per-net offsets, read through
 //! precomputed fanin and fanout CSR tables. All mutations are journaled
@@ -20,7 +23,7 @@
 use std::ops::Range;
 
 use rowfpga_arch::Architecture;
-use rowfpga_netlist::{CellId, CellKind, CombLoopError, Levels, NetId, Netlist, PinRef};
+use rowfpga_netlist::{CellId, CombLoopError, Levels, NetId, Netlist, PinRef};
 use rowfpga_place::Placement;
 use rowfpga_route::RoutingState;
 
@@ -31,15 +34,7 @@ use crate::sta::is_endpoint;
 /// Arrival changes smaller than this are not propagated.
 const EPS: f64 = 1e-9;
 
-/// A sink cell that is neither a boundary nor an endpoint: propagation
-/// continues through it.
-const SINK_INTERNAL: u8 = 0;
-/// A path endpoint (primary output / flip-flop data input).
-const SINK_ENDPOINT: u8 = 1;
-/// A boundary that terminates propagation without being an endpoint.
-const SINK_BOUNDARY: u8 = 2;
-
-/// One input connection of a cell: the driving cell and the arena index
+/// One input connection of a node: the driving node and the arena index
 /// of this pin's net delay — everything `worst_input_arrival` re-derived
 /// per call, resolved once.
 #[derive(Clone, Copy, Debug)]
@@ -49,33 +44,48 @@ struct FaninEdge {
 }
 
 /// Lookup tables derived from connectivity and fabric delay parameters,
-/// both immutable for the lifetime of the state: per-cell fanin edges and
-/// fanout cells in CSR form, per-net offsets into the delay arena,
-/// intrinsic delays, levels and sink classification. These turn the
-/// frontier's inner loop into flat array reads.
+/// both immutable for the lifetime of the state, all indexed by node:
+/// fanin edges and fanout nodes in CSR form, per-net offsets into the
+/// delay arena and intrinsic delays. These turn the frontier's inner loop
+/// into flat, ascending array reads.
 #[derive(Clone, Debug)]
 struct CellTables {
+    /// The number `C` of combinational cells: nodes `0..C` are swept,
+    /// nodes from `C` on are path boundaries.
+    comb: usize,
+    /// Every cell's node, indexed by cell id.
+    node_of: Vec<u32>,
     fanin_start: Vec<u32>,
     fanin_edges: Vec<FaninEdge>,
-    /// CSR offsets into `fanout`, one slice per cell.
+    /// CSR offsets into `fanout`, one slice per node.
     fanout_start: Vec<u32>,
-    /// The sink cell of every pin the cell's output drives, in sink order.
+    /// The sink node of every pin the node's output drives, in sink order,
+    /// without the boundary sinks that are not endpoints.
     fanout: Vec<u32>,
     /// Net `n`'s sink delays occupy `net_start[n]..net_start[n + 1]` of
     /// the delay arena, in sink order.
     net_start: Vec<u32>,
+    /// Delay through the cell; for a boundary node, its launch arrival.
     intrinsic: Vec<f64>,
     endpoint_intrinsic: Vec<f64>,
-    /// A combinational cell's position in [`Levels::order`]: its bit in
-    /// the frontier's dirty set.
-    pos: Vec<u32>,
-    sink_class: Vec<u8>,
 }
 
 impl CellTables {
     // rowfpga-lint: begin-allow(hot-path) reason=one-time table construction before annealing starts
     fn build(arch: &Architecture, netlist: &Netlist, levels: &Levels) -> CellTables {
         let n = netlist.num_cells();
+        let comb = levels.order().len();
+        let mut cells = levels.order().to_vec();
+        cells.extend(
+            netlist
+                .cells()
+                .filter(|(_, c)| c.kind().is_boundary())
+                .map(|(id, _)| id),
+        );
+        let mut node_of = vec![0u32; n];
+        for (node, cell) in cells.iter().enumerate() {
+            node_of[cell.index()] = node as u32;
+        }
         let mut net_start = Vec::with_capacity(netlist.num_nets() + 1);
         let mut total = 0u32;
         for (_, net) in netlist.nets() {
@@ -84,6 +94,7 @@ impl CellTables {
         }
         net_start.push(total);
         let mut t = CellTables {
+            comb,
             fanin_start: Vec::with_capacity(n + 1),
             fanin_edges: Vec::new(),
             fanout_start: Vec::with_capacity(n + 1),
@@ -91,14 +102,10 @@ impl CellTables {
             net_start,
             intrinsic: Vec::with_capacity(n),
             endpoint_intrinsic: Vec::with_capacity(n),
-            pos: vec![0; n],
-            sink_class: Vec::with_capacity(n),
+            node_of,
         };
-        for (p, cell) in levels.order().iter().enumerate() {
-            t.pos[cell.index()] = p as u32;
-        }
-        for (id, cell) in netlist.cells() {
-            let kind = cell.kind();
+        for id in cells {
+            let kind = netlist.cell(id).kind();
             t.fanin_start.push(t.fanin_edges.len() as u32);
             // Same pin order as `sta::argmax_input`, so the max-fold visits
             // arrivals in the identical sequence.
@@ -115,32 +122,22 @@ impl CellTables {
                     .position(|s| *s == pin_ref)
                     .expect("pin is a sink of its net");
                 t.fanin_edges.push(FaninEdge {
-                    driver: nref.driver().cell.index() as u32,
+                    driver: t.node_of[nref.driver().cell.index()],
                     slot: t.net_start[net.index()] + sink_idx as u32,
                 });
             }
             t.fanout_start.push(t.fanout.len() as u32);
             if let Some(net) = netlist.driven_net(id) {
-                t.fanout.extend(
-                    netlist
-                        .net(net)
-                        .sinks()
-                        .iter()
-                        .map(|s| s.cell.index() as u32),
-                );
+                for s in netlist.net(net).sinks() {
+                    let node = t.node_of[s.cell.index()];
+                    if (node as usize) < comb || is_endpoint(netlist.cell(s.cell).kind()) {
+                        t.fanout.push(node);
+                    }
+                }
             }
             t.intrinsic.push(cell_intrinsic_delay(arch, kind));
             t.endpoint_intrinsic
                 .push(endpoint_intrinsic_delay(arch, kind));
-            t.sink_class.push(if kind.is_boundary() {
-                if is_endpoint(kind) {
-                    SINK_ENDPOINT
-                } else {
-                    SINK_BOUNDARY
-                }
-            } else {
-                SINK_INTERNAL
-            });
         }
         t.fanin_start.push(t.fanin_edges.len() as u32);
         t.fanout_start.push(t.fanout.len() as u32);
@@ -162,8 +159,8 @@ fn csr_range(start: &[u32], i: usize) -> Range<usize> {
 /// Generation-stamped undo log: the first mutation of each quantity inside
 /// a transaction records its prior value in a flat array; per-index stamps
 /// make the first-touch test O(1) with nothing to clear between
-/// transactions.
-#[derive(Clone, Debug)]
+/// transactions. Arrivals are stamped and saved by node.
+#[derive(Clone, Debug, Default)]
 struct UndoLog {
     active: bool,
     generation: u64,
@@ -179,34 +176,37 @@ struct UndoLog {
     worst: Option<f64>,
 }
 
-/// Reusable buffers for [`TimingState::update_nets`]: the frontier's dirty
-/// bitset over [`Levels::order`] positions (always swept clean), epoch-
-/// stamped endpoint marks (no per-call clearing) and the Elmore evaluation
-/// scratch.
-#[derive(Clone, Debug, Default)]
+/// Reusable buffers for the two update steps: the frontier's dirty bitset
+/// over nodes `0..C` with its lowest and highest dirty words (always swept
+/// clean), epoch-stamped endpoint marks (no per-call clearing) and the
+/// Elmore evaluation scratch.
+#[derive(Clone, Debug)]
 struct UpdateScratch {
     dirty: Vec<u64>,
+    span: (usize, usize),
+    /// Whether marks await [`TimingState::propagate`].
+    pending: bool,
     epoch: u64,
     endpoint_dirty: Vec<u64>,
     elmore: ElmoreScratch,
 }
 
-/// Incrementally maintained timing state: per-cell arrivals, per-net sink
+/// Incrementally maintained timing state: per-node arrivals, per-net sink
 /// delays and the worst endpoint arrival (the cost term `T`).
 #[derive(Clone, Debug)]
 pub struct TimingState {
-    levels: Levels,
     tables: CellTables,
     arr: Vec<f64>,
+    /// Path-end arrivals, read at the boundary nodes only; a primary
+    /// input's 0 never raises the worst.
     endpoint_arr: Vec<f64>,
     /// Every net's sink delays, flat; see [`CellTables::net_start`].
     delays: Vec<f64>,
-    endpoints: Vec<CellId>,
     worst: f64,
     undo: UndoLog,
     scratch: UpdateScratch,
     /// Cells taken off the frontier by the most recent
-    /// [`TimingState::update_nets`] call (observability only; not
+    /// [`TimingState::propagate`] call (observability only; not
     /// journaled, since it never affects results).
     last_frontier: usize,
 }
@@ -224,37 +224,27 @@ impl TimingState {
         placement: &Placement,
         routing: &RoutingState,
     ) -> Result<TimingState, CombLoopError> {
-        let levels = Levels::compute(netlist)?;
-        let tables = CellTables::build(arch, netlist, &levels);
-        let endpoints = netlist
-            .cells()
-            .filter(|(_, c)| is_endpoint(c.kind()))
-            .map(|(id, _)| id)
-            .collect();
+        let tables = CellTables::build(arch, netlist, &Levels::compute(netlist)?);
+        let n = netlist.num_cells();
         let mut state = TimingState {
-            delays: vec![0.0; tables.fanout.len()],
+            delays: vec![0.0; tables.net_start[netlist.num_nets()] as usize],
             scratch: UpdateScratch {
-                dirty: vec![0; levels.order().len().div_ceil(64)],
-                endpoint_dirty: vec![0; netlist.num_cells()],
-                ..UpdateScratch::default()
+                dirty: vec![0; tables.comb.div_ceil(64)],
+                span: (usize::MAX, 0),
+                pending: false,
+                epoch: 1,
+                endpoint_dirty: vec![0; n],
+                elmore: ElmoreScratch::default(),
             },
-            levels,
             tables,
-            arr: vec![0.0; netlist.num_cells()],
-            endpoint_arr: vec![f64::NEG_INFINITY; netlist.num_cells()],
-            endpoints,
+            arr: vec![0.0; n],
+            endpoint_arr: vec![f64::NEG_INFINITY; n],
             worst: 0.0,
             undo: UndoLog {
-                active: false,
-                generation: 0,
-                arr_stamp: vec![0; netlist.num_cells()],
-                endpoint_stamp: vec![0; netlist.num_cells()],
+                arr_stamp: vec![0; n],
+                endpoint_stamp: vec![0; n],
                 net_stamp: vec![0; netlist.num_nets()],
-                saved_arr: Vec::new(),
-                saved_endpoint: Vec::new(),
-                saved_nets: Vec::new(),
-                saved_delays: Vec::new(),
-                worst: None,
+                ..UndoLog::default()
             },
             last_frontier: 0,
         };
@@ -287,37 +277,30 @@ impl TimingState {
                 &mut self.delays[self.tables.net_range(id)],
             );
         }
-        for (id, cell) in netlist.cells() {
-            self.arr[id.index()] = match cell.kind() {
-                CellKind::Input | CellKind::Seq => cell_intrinsic_delay(arch, cell.kind()),
-                _ => 0.0,
-            };
+        let comb = self.tables.comb;
+        self.arr[comb..].copy_from_slice(&self.tables.intrinsic[comb..]);
+        for node in 0..comb {
+            self.arr[node] = self.worst_fanin(node) + self.tables.intrinsic[node];
         }
-        for &cell in self.levels.order() {
-            let c = cell.index();
-            self.arr[c] = self.worst_fanin(c).unwrap_or(0.0) + self.tables.intrinsic[c];
-        }
-        for i in 0..self.endpoints.len() {
-            let e = self.endpoints[i].index();
-            self.endpoint_arr[e] =
-                self.worst_fanin(e).unwrap_or(0.0) + self.tables.endpoint_intrinsic[e];
+        for e in comb..self.arr.len() {
+            self.endpoint_arr[e] = self.worst_fanin(e) + self.tables.endpoint_intrinsic[e];
         }
         self.worst = self.scan_worst();
     }
 
-    /// The latest input arrival of cell index `cell` over its precomputed
-    /// fanin edges — the allocation- and lookup-free equivalent of
+    /// The latest input arrival of `node` over its precomputed fanin edges
+    /// (0 with none) — the allocation- and lookup-free equivalent of
     /// [`crate::sta`]'s `worst_input_arrival`, folding arrivals in the same
-    /// pin order.
-    fn worst_fanin(&self, cell: usize) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for e in &self.tables.fanin_edges[csr_range(&self.tables.fanin_start, cell)] {
-            let a = self.arr[e.driver as usize] + self.delays[e.slot as usize];
-            if best.is_none_or(|b| a > b) {
-                best = Some(a);
-            }
-        }
-        best
+    /// pin order with the same tie choice.
+    fn worst_fanin(&self, node: usize) -> f64 {
+        let edges = &self.tables.fanin_edges[csr_range(&self.tables.fanin_start, node)];
+        let arrival = |e: &FaninEdge| self.arr[e.driver as usize] + self.delays[e.slot as usize];
+        let Some((first, rest)) = edges.split_first() else {
+            return 0.0;
+        };
+        rest.iter()
+            .map(arrival)
+            .fold(arrival(first), |best, a| if a > best { a } else { best })
     }
 
     /// Worst-case path delay `T`, in picoseconds.
@@ -327,7 +310,7 @@ impl TimingState {
 
     /// Arrival time at a cell's output.
     pub fn arrival(&self, cell: CellId) -> f64 {
-        self.arr[cell.index()]
+        self.arr[self.tables.node_of[cell.index()] as usize]
     }
 
     /// The interconnect delays currently charged to a net's sinks.
@@ -335,17 +318,16 @@ impl TimingState {
         &self.delays[self.tables.net_range(net)]
     }
 
-    /// Every cell's output arrival time, indexed by cell id — the dense
-    /// view behind [`TimingState::arrival`]. Differential oracles digest
-    /// this slice to compare an incremental state against a from-scratch
-    /// analysis without one accessor call per cell.
-    pub fn arrivals(&self) -> &[f64] {
-        &self.arr
+    /// Every cell's output arrival time in cell-id order — the dense view
+    /// behind [`TimingState::arrival`]. Differential oracles digest it to
+    /// compare an incremental state against a from-scratch analysis.
+    pub fn arrivals(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.tables.node_of.iter().map(|&n| self.arr[n as usize])
     }
 
     /// Cells processed by the propagation frontier of the most recent
-    /// [`TimingState::update_nets`] call (0 if it had nothing to do). A
-    /// cheap proxy for how far a move's timing disturbance traveled.
+    /// update (0 if it had nothing to do). A cheap proxy for how far a
+    /// move's timing disturbance traveled.
     pub fn last_frontier(&self) -> usize {
         self.last_frontier
     }
@@ -391,12 +373,12 @@ impl TimingState {
     pub fn rollback(&mut self) {
         assert!(self.undo.active, "no timing transaction to roll back");
         self.undo.active = false;
-        for &(cell, v) in &self.undo.saved_arr {
-            self.arr[cell as usize] = v;
+        for &(node, v) in &self.undo.saved_arr {
+            self.arr[node as usize] = v;
         }
         self.undo.saved_arr.clear();
-        for &(cell, v) in &self.undo.saved_endpoint {
-            self.endpoint_arr[cell as usize] = v;
+        for &(node, v) in &self.undo.saved_endpoint {
+            self.endpoint_arr[node as usize] = v;
         }
         self.undo.saved_endpoint.clear();
         let mut from = 0;
@@ -414,8 +396,8 @@ impl TimingState {
     }
 
     /// Recomputes the delays of `changed` nets and propagates arrivals to
-    /// the boundaries through the dirty-position sweep. Returns the new
-    /// worst delay.
+    /// the boundaries — [`TimingState::update_net_delays`] followed by
+    /// [`TimingState::propagate`]. Returns the new worst delay.
     pub fn update_nets(
         &mut self,
         arch: &Architecture,
@@ -424,19 +406,28 @@ impl TimingState {
         routing: &RoutingState,
         changed: &[NetId],
     ) -> f64 {
+        self.update_net_delays(arch, netlist, placement, routing, changed);
+        self.propagate()
+    }
+
+    /// The first update step: recomputes the delays of `changed` nets and
+    /// marks their sinks for [`TimingState::propagate`], which must follow
+    /// before the arrivals or the worst delay are read.
+    pub fn update_net_delays(
+        &mut self,
+        arch: &Architecture,
+        netlist: &Netlist,
+        placement: &Placement,
+        routing: &RoutingState,
+        changed: &[NetId],
+    ) {
         self.last_frontier = 0;
         if changed.is_empty() {
-            return self.worst;
+            return;
         }
         self.save_worst();
-
-        // Epoch stamps replace per-call boolean arrays: a mark is "set" iff
-        // its stamp equals this call's epoch, so nothing is ever cleared.
-        self.scratch.epoch += 1;
-        let epoch = self.scratch.epoch;
-        // The lowest and highest dirty words.
-        let mut span = (usize::MAX, 0);
-
+        self.scratch.pending = true;
+        let mut span = self.scratch.span;
         for &net in changed {
             self.save_net(net);
             net_sink_delays_into(
@@ -448,35 +439,48 @@ impl TimingState {
                 &mut self.scratch.elmore,
                 &mut self.delays[self.tables.net_range(net)],
             );
-            self.mark_fanout(netlist.net(net).driver().cell.index(), epoch, &mut span);
+            let driver = self.tables.node_of[netlist.net(net).driver().cell.index()];
+            self.mark_fanout(driver as usize, &mut span);
         }
+        self.scratch.span = span;
+    }
 
-        // Fanout always sits at a later position, so refreshing a cell only
-        // ever sets higher bits and each cell is taken once, lowest first.
+    /// The second update step: sweeps the dirty nodes in ascending order,
+    /// refreshes the marked endpoints and returns the new worst delay.
+    pub fn propagate(&mut self) -> f64 {
+        if !std::mem::take(&mut self.scratch.pending) {
+            return self.worst;
+        }
+        // Fanout always sits at a later node, so refreshing a node only
+        // ever sets higher bits and each node is taken once, lowest first.
+        let mut span = std::mem::replace(&mut self.scratch.span, (usize::MAX, 0));
         let mut word = span.0;
         while word <= span.1 {
             while self.scratch.dirty[word] != 0 {
                 let bits = self.scratch.dirty[word];
                 self.scratch.dirty[word] = bits & (bits - 1);
-                let cell = self.levels.order()[word * 64 + bits.trailing_zeros() as usize].index();
+                let node = word * 64 + bits.trailing_zeros() as usize;
                 self.last_frontier += 1;
-                let new_arr = self.worst_fanin(cell).unwrap_or(0.0) + self.tables.intrinsic[cell];
-                if (new_arr - self.arr[cell]).abs() <= EPS {
+                let new_arr = self.worst_fanin(node) + self.tables.intrinsic[node];
+                if (new_arr - self.arr[node]).abs() <= EPS {
                     continue;
                 }
-                self.save_arr(cell);
-                self.arr[cell] = new_arr;
-                self.mark_fanout(cell, epoch, &mut span);
+                self.save_arr(node);
+                self.arr[node] = new_arr;
+                self.mark_fanout(node, &mut span);
             }
             word += 1;
         }
 
-        for i in 0..self.endpoints.len() {
-            let e = self.endpoints[i].index();
+        // Epoch stamps replace per-call boolean arrays: a mark is "set" iff
+        // its stamp equals the current epoch, so nothing is ever cleared.
+        let epoch = self.scratch.epoch;
+        self.scratch.epoch += 1;
+        for e in self.tables.comb..self.arr.len() {
             if self.scratch.endpoint_dirty[e] != epoch {
                 continue;
             }
-            let ea = self.worst_fanin(e).unwrap_or(0.0) + self.tables.endpoint_intrinsic[e];
+            let ea = self.worst_fanin(e) + self.tables.endpoint_intrinsic[e];
             if (ea - self.endpoint_arr[e]).abs() > EPS {
                 self.save_endpoint(e);
                 self.endpoint_arr[e] = ea;
@@ -486,49 +490,44 @@ impl TimingState {
         self.worst
     }
 
-    /// Sets the dirty bits of the internal cells driven by cell index
-    /// `cell` (widening `span`, the dirty word range) and marks its
-    /// endpoint sinks dirty.
-    fn mark_fanout(&mut self, cell: usize, epoch: u64, span: &mut (usize, usize)) {
-        for &s in &self.tables.fanout[csr_range(&self.tables.fanout_start, cell)] {
-            let i = s as usize;
-            match self.tables.sink_class[i] {
-                SINK_INTERNAL => {
-                    let p = self.tables.pos[i] as usize;
-                    self.scratch.dirty[p / 64] |= 1 << (p % 64);
-                    *span = (span.0.min(p / 64), span.1.max(p / 64));
-                }
-                SINK_ENDPOINT => self.scratch.endpoint_dirty[i] = epoch,
-                _ => {}
+    /// Marks the sinks driven by `node`: a combinational sink sets its
+    /// dirty bit (widening `span`, the dirty word range), any other is an
+    /// endpoint.
+    fn mark_fanout(&mut self, node: usize, span: &mut (usize, usize)) {
+        for &s in &self.tables.fanout[csr_range(&self.tables.fanout_start, node)] {
+            let s = s as usize;
+            if s < self.tables.comb {
+                self.scratch.dirty[s / 64] |= 1 << (s % 64);
+                *span = (span.0.min(s / 64), span.1.max(s / 64));
+            } else {
+                self.scratch.endpoint_dirty[s] = self.scratch.epoch;
             }
         }
     }
 
     fn scan_worst(&self) -> f64 {
-        self.endpoints
+        self.endpoint_arr[self.tables.comb..]
             .iter()
-            .map(|e| self.endpoint_arr[e.index()])
-            .fold(0.0f64, f64::max)
+            .fold(0.0f64, |w, &a| w.max(a))
     }
 
-    fn save_arr(&mut self, cell: usize) {
-        if !self.undo.active || self.undo.arr_stamp[cell] == self.undo.generation {
+    fn save_arr(&mut self, node: usize) {
+        if !self.undo.active || self.undo.arr_stamp[node] == self.undo.generation {
             return;
         }
-        self.undo.arr_stamp[cell] = self.undo.generation;
-        self.undo.saved_arr.push((cell as u32, self.arr[cell]));
+        self.undo.arr_stamp[node] = self.undo.generation;
+        self.undo.saved_arr.push((node as u32, self.arr[node]));
     }
 
-    fn save_endpoint(&mut self, cell: usize) {
-        if !self.undo.active || self.undo.endpoint_stamp[cell] == self.undo.generation {
+    fn save_endpoint(&mut self, node: usize) {
+        if !self.undo.active || self.undo.endpoint_stamp[node] == self.undo.generation {
             return;
         }
-        self.undo.endpoint_stamp[cell] = self.undo.generation;
+        self.undo.endpoint_stamp[node] = self.undo.generation;
         self.undo
             .saved_endpoint
-            .push((cell as u32, self.endpoint_arr[cell]));
+            .push((node as u32, self.endpoint_arr[node]));
     }
-
     /// Journals a net's current sink delays on first touch by copying them
     /// onto the end of the flat undo buffer.
     fn save_net(&mut self, net: NetId) {
@@ -565,9 +564,9 @@ impl TimingState {
     /// `delta_ps` — a silent mid-cone divergence that a worst-only check
     /// would miss.
     pub fn fault_skew_arrival(&mut self, cell: usize, delta_ps: f64) {
-        let idx = cell % self.arr.len().max(1);
-        if idx < self.arr.len() {
-            self.arr[idx] += delta_ps;
+        let node_of = &self.tables.node_of;
+        if let Some(&node) = node_of.get(cell % node_of.len().max(1)) {
+            self.arr[node as usize] += delta_ps;
         }
     }
 }
@@ -610,15 +609,22 @@ mod tests {
         (arch, nl, p, st)
     }
 
+    /// Node numbering is internal: every cell id's arrival, through both
+    /// accessors, equals a from-scratch STA to the bit, because both fold
+    /// the same f64 operations in the same pin order.
     #[test]
     fn initial_state_matches_sta() {
-        let (arch, nl, p, st) = problem(3);
-        let ts = TimingState::new(&arch, &nl, &p, &st).unwrap();
-        let sta = crate::Sta::analyze(&arch, &nl, &p, &st).unwrap();
-        assert!((ts.worst() - sta.worst_delay()).abs() < 1e-6);
-        for (id, c) in nl.cells() {
-            if c.kind().has_output() {
-                assert!((ts.arrival(id) - sta.arrival(id)).abs() < 1e-6);
+        for (arch, nl, p, st) in [problem(3), sized_problem(5, 200, 10, 24)] {
+            let ts = TimingState::new(&arch, &nl, &p, &st).unwrap();
+            let sta = crate::Sta::analyze(&arch, &nl, &p, &st).unwrap();
+            assert_eq!(ts.worst().to_bits(), sta.worst_delay().to_bits());
+            assert_eq!(ts.arrivals().len(), nl.num_cells());
+            for ((id, _), a) in nl.cells().zip(ts.arrivals()) {
+                assert_eq!(a.to_bits(), sta.arrival(id).to_bits(), "{id:?}");
+                assert_eq!(ts.arrival(id).to_bits(), a.to_bits(), "{id:?}");
+            }
+            for (id, _) in nl.nets() {
+                assert_eq!(ts.net_delays(id), sta.net_delays(id), "{id:?}");
             }
         }
     }
@@ -684,6 +690,39 @@ mod tests {
                 t.net_delays(id).iter().map(|d| d.to_bits()).collect()
             };
             assert_eq!(bits(a), bits(b), "delays of {id:?}");
+        }
+    }
+
+    /// The two public update steps compose to `update_nets`, also when the
+    /// changed nets arrive in more than one `update_net_delays` call.
+    #[test]
+    fn split_steps_compose_to_update_nets() {
+        let (arch, nl, mut p, mut st) = sized_problem(7, 200, 10, 24);
+        let cfg = RouterConfig::default();
+        let mut whole = TimingState::new(&arch, &nl, &p, &st).unwrap();
+        let mut split = whole.clone();
+        let cells: Vec<CellId> = nl
+            .cells()
+            .filter(|(_, c)| !c.kind().is_io())
+            .map(|(id, _)| id)
+            .collect();
+        for w in cells.windows(2).step_by(3).take(10) {
+            p.swap_sites(&arch, p.site_of(w[0]), p.site_of(w[1]));
+            st.begin_txn();
+            st.rip_up_cell(&nl, w[0]);
+            st.rip_up_cell(&nl, w[1]);
+            st.route_incremental(&arch, &nl, &p, &cfg);
+            let changed: Vec<NetId> = st.touched_nets().to_vec();
+            st.commit();
+            let worst = whole.update_nets(&arch, &nl, &p, &st, &changed);
+            let (a, b) = changed.split_at(changed.len() / 2);
+            split.update_net_delays(&arch, &nl, &p, &st, a);
+            split.update_net_delays(&arch, &nl, &p, &st, b);
+            assert_eq!(split.propagate().to_bits(), worst.to_bits());
+            assert_eq!(split.last_frontier(), whole.last_frontier());
+            assert_bit_identical(&nl, &split, &whole);
+            // Nothing pending: a second propagate is a no-op.
+            assert_eq!(split.propagate().to_bits(), worst.to_bits());
         }
     }
 

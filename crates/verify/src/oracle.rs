@@ -109,12 +109,7 @@ impl StateDigest {
             globally_unrouted: problem.routing().globally_unrouted(),
             incomplete: problem.routing().incomplete(),
             worst_bits: problem.timing().worst().to_bits(),
-            arrival_bits: problem
-                .timing()
-                .arrivals()
-                .iter()
-                .map(|a| a.to_bits())
-                .collect(),
+            arrival_bits: problem.timing().arrivals().map(f64::to_bits).collect(),
         }
     }
 
@@ -136,7 +131,7 @@ impl StateDigest {
             globally_unrouted: routing.globally_unrouted(),
             incomplete: routing.incomplete(),
             worst_bits: timing.worst().to_bits(),
-            arrival_bits: timing.arrivals().iter().map(|a| a.to_bits()).collect(),
+            arrival_bits: timing.arrivals().map(f64::to_bits).collect(),
         }
     }
 
